@@ -79,6 +79,7 @@ from .statespace import (
     measure_invariance_check,
     polar_metric_quadratic,
     polar_pushforward,
+    random_complex_state,
     random_real_state,
     state_event_probs,
     to_complex,

@@ -270,11 +270,6 @@ def run_metric_check(cfg: RunConfig) -> Report:
     return report
 
 
-def _random_complex_state(rng: np.random.Generator, n: int) -> statespace.ComplexState:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return statespace.ComplexState(z / np.linalg.norm(z))
-
-
 def run_correspondence(cfg: RunConfig) -> Report:
     ov = cfg.tol_overrides
     report = Report("correspondence", cfg.echo())
@@ -460,7 +455,7 @@ def run_born_check(cfg: RunConfig) -> Report:
         meas = measurement.Measurement(u, phases)
         measurements.append(meas)
         for _ in range(2):
-            v = _random_complex_state(rng, n)
+            v = statespace.random_complex_state(n, rng)
             dist = measurement.outcome_distribution(meas, v)
             via_basis = np.abs(meas.basis().conj().T @ v.v) ** 2
             born_err = max(born_err, float(np.abs(dist.probs - via_basis).max()))
@@ -502,7 +497,7 @@ def run_born_check(cfg: RunConfig) -> Report:
         check_within("eigenstate_counts_off_target", float(1000 - eig_counts[1]), 0.0, 0.0, ov)
     )
 
-    v_s = _random_complex_state(rng, n)
+    v_s = statespace.random_complex_state(n, rng)
     dist_s = measurement.outcome_distribution(meas_s, v_s)
     counts = measurement.sample_outcomes(meas_s, v_s, cfg.shots, int(rng.integers(2**62)))
     zmax = 0.0
@@ -551,8 +546,8 @@ def run_wootters(cfg: RunConfig) -> Report:
     cert_minus_hilbert = -math.inf
     pair_table = []
     for _ in range(cfg.pairs):
-        u = _random_complex_state(rng, n)
-        v = _random_complex_state(rng, n)
+        u = statespace.random_complex_state(n, rng)
+        v = statespace.random_complex_state(n, rng)
         res = distmax.maximize_statistical_distance(
             u, v, budget=cfg.budget, seed=int(rng.integers(2**62))
         )
@@ -572,8 +567,8 @@ def run_wootters(cfg: RunConfig) -> Report:
 
     envelope = -math.inf
     for _ in range(cfg.draws):
-        u = _random_complex_state(rng, n)
-        v = _random_complex_state(rng, n)
+        u = statespace.random_complex_state(n, rng)
+        v = statespace.random_complex_state(n, rng)
         w = transforms.random_unitary(n, rng.integers(2**62))
         meas = measurement.Measurement(w)
         ds = simplex.statistical_distance(
@@ -641,61 +636,46 @@ def build_parser() -> argparse.ArgumentParser:
         "wootters": "maximal statistical distance vs Hilbert angle",
         "all": "run every battery",
     }
+    # option -> (add_argument keywords, help); every default lives in RunConfig
+    options = {
+        "n": ({"type": int}, "outcome dimension"),
+        "seed": ({"type": int}, "RNG seed; required for stochastic runs"),
+        "trials": ({"type": int}, "Monte Carlo trials (coin-distinguish)"),
+        "shots": ({"type": int}, "sampling shots (born-check)"),
+        "budget": ({"type": int}, "optimizer restarts (wootters)"),
+        "delta": ({"type": float}, "coin offset (coin-distinguish)"),
+        "pairs": ({"type": int}, "state pairs to optimize (wootters)"),
+        "draws": ({"type": int}, "random draws for batteries (correspondence, wootters)"),
+        "tangents": ({"type": int}, "random tangents per metric battery (metric-check)"),
+        "out": ({"type": str}, "report file path"),
+        "format": ({"choices": ("json", "csv")}, "report format"),
+    }
     for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--n", type=int, default=2, help="outcome dimension (default 2)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; required for stochastic runs")
-        p.add_argument("--trials", type=int, default=10_000,
-                       help="Monte Carlo trials (coin-distinguish)")
-        p.add_argument("--shots", type=int, default=100_000,
-                       help="sampling shots (born-check)")
-        p.add_argument("--budget", type=int, default=10,
-                       help="optimizer restarts (wootters)")
-        p.add_argument("--delta", type=float, default=0.005,
-                       help="coin offset (coin-distinguish)")
-        p.add_argument("--pairs", type=int, default=20,
-                       help="state pairs to optimize (wootters)")
-        p.add_argument("--draws", type=int, default=1000,
-                       help="random draws for batteries (correspondence, wootters)")
-        p.add_argument("--tangents", type=int, default=1000,
-                       help="random tangents per metric battery (metric-check)")
-        p.add_argument("--out", type=str, default=None, help="report file path")
-        p.add_argument("--format", type=str, default="json", choices=("json", "csv"),
-                       help="report format (default json)")
+        p = sub.add_parser(name, help=desc, description=desc,
+                           argument_default=argparse.SUPPRESS)
+        for opt, (kw, text) in options.items():
+            p.add_argument(f"--{opt}", **kw,
+                           help=f"{text} (default {getattr(RunConfig, opt)})")
         p.add_argument("--tol-override", type=_tol_override, action="append",
-                       default=[], metavar="NAME=VALUE",
+                       metavar="NAME=VALUE",
                        help="override the governing threshold of a named check")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        seed=args.seed,
-        trials=args.trials,
-        shots=args.shots,
-        budget=args.budget,
-        delta=args.delta,
-        pairs=args.pairs,
-        draws=args.draws,
-        tangents=args.tangents,
-        format=args.format,
-        out=args.out,
-        tol_overrides=dict(args.tol_override),
-    )
-    try:
-        cfg.validate()
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    opts = vars(build_parser().parse_args(argv))
+    overrides = dict(opts.pop("tol_override", []))
+    cfg = RunConfig(**opts, tol_overrides=overrides)
     runner = run_all if cfg.command == "all" else _RUNNERS[cfg.command]
     started = time.perf_counter()
     try:
+        cfg.validate()
         report = runner(cfg)
+        unknown = sorted(set(cfg.tol_overrides) - {c.name for c in report.checks})
+        if unknown:
+            raise ValidationError(
+                f"--tol-override names no check of this run: {', '.join(unknown)}"
+            )
     except InfoGeoError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .statespace import ComplexState
+from .transforms import _haar
 
 MAX_DIMENSION = 8
 _MIN_STEP = 1e-8
@@ -171,19 +172,13 @@ def certify_upper_bound(
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
     if samples < 1:
         raise ValidationError("samples must be at least 1")
-    n = u.n
     rng = np.random.default_rng(seed)
     best = 0.0
     remaining = samples
-    idx = np.arange(n)
     while remaining > 0:
         chunk = min(remaining, 4096)
         remaining -= chunk
-        z = rng.standard_normal((chunk, n, n)) + 1j * rng.standard_normal((chunk, n, n))
-        q, r = np.linalg.qr(z)
-        d = r[:, idx, idx].copy()
-        d[d == 0.0] = 1.0
-        q *= (d / np.abs(d))[:, None, :]
+        q = _haar(rng, u.n, (chunk,), complex_=True)
         overlaps = np.sum(np.abs(q @ u.v) * np.abs(q @ v.v), axis=1)
         best = max(best, float(np.arccos(np.clip(overlaps.min(), 0.0, 1.0))))
     return best

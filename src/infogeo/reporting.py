@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,9 +78,6 @@ class Report:
     def overall_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
 
 def format_float(x: float) -> str:
     """17 significant digits: enough to round-trip any double exactly."""
@@ -94,7 +92,7 @@ def _write_json(obj, out: list[str], indent: int) -> None:
             return
         out.append("{\n")
         for k, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
+            out.append(f"{pad}  {json.dumps(str(key))}: ")
             _write_json(val, out, indent + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -111,8 +109,7 @@ def _write_json(obj, out: list[str], indent: int) -> None:
     elif isinstance(obj, bool) or obj is None:
         out.append("true" if obj is True else "false" if obj is False else "null")
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
+        out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -155,22 +152,11 @@ def array_from_json(payload: dict) -> np.ndarray:
     return np.asarray(payload["data"], dtype=float).reshape(shape)
 
 
-def _check_row(c: CheckResult) -> dict:
-    return {
-        "name": c.name,
-        "value": c.value,
-        "target": c.target,
-        "tolerance": c.tolerance,
-        "comparison": c.comparison,
-        "passed": c.passed,
-    }
-
-
 def report_tree(report: Report) -> dict:
     return {
         "command": report.command,
         "config": report.config,
-        "checks": [_check_row(c) for c in report.checks],
+        "checks": [asdict(c) for c in report.checks],
         "notes": list(report.notes),
         "details": report.details,
         "overall_passed": report.overall_passed,

@@ -111,6 +111,16 @@ def _check_same_dim(a_size: int, b_size: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a_size} vs {b_size}")
 
 
+def _moving(p: ProbDist, dp: TangentVec) -> np.ndarray:
+    # Mask of outcomes that dp moves; raises SingularMetric when one of them
+    # has zero probability, where the metric blows up.
+    _check_same_dim(p.n, dp.n)
+    moving = dp.deltas != 0.0
+    if np.any(moving & (p.probs == 0.0)):
+        raise SingularMetric("dp is nonzero on an outcome with zero probability")
+    return moving
+
+
 def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
     """Quadratic form of the information metric, (1/4) * sum dp_i^2 / p_i.
 
@@ -118,13 +128,9 @@ def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
     dp_i != 0 where p_i = 0.  Terms with dp_i = 0 contribute nothing even
     at p_i = 0.
     """
-    _check_same_dim(p.n, dp.n)
-    probs, deltas = p.probs, dp.deltas
-    moving = deltas != 0.0
-    if np.any(moving & (probs == 0.0)):
-        raise SingularMetric("dp is nonzero on an outcome with zero probability")
-    terms = np.zeros_like(probs)
-    np.divide(deltas**2, probs, out=terms, where=moving)
+    moving = _moving(p, dp)
+    terms = np.zeros_like(p.probs)
+    np.divide(dp.deltas**2, p.probs, out=terms, where=moving)
     return 0.25 * float(terms.sum())
 
 

@@ -33,10 +33,16 @@ from .errors import (
     DimensionMismatch,
     EmptyGrid,
     OddDimension,
-    SingularMetric,
     ValidationError,
 )
-from .simplex import NORMALIZATION_TOL, ProbDist, TangentVec, _as_readonly_float_array
+from .simplex import (
+    NORMALIZATION_TOL,
+    ProbDist,
+    TangentVec,
+    _as_readonly_float_array,
+    _moving,
+    fisher_quadratic,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +150,14 @@ class ComplexState:
         return int(self.v.size)
 
 
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Pack pair coordinates along the last axis: [e0, o0, e1, o1, ...]."""
+    out = np.empty((*even.shape[:-1], 2 * even.shape[-1]))
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
+    return out
+
+
 def coarse_grain(events: EventDist) -> ProbDist:
     """Sum consecutive event pairs into outcome probabilities."""
     arr = events.event_probs
@@ -160,10 +174,7 @@ def state_event_probs(state: RealState) -> EventDist:
 def from_polar(ps: PolarState) -> RealState:
     """Interleave sqrt(p_i) cos(theta_i), sqrt(p_i) sin(theta_i)."""
     r = np.sqrt(ps.p.probs)
-    q = np.empty(2 * r.size)
-    q[0::2] = r * np.cos(ps.theta)
-    q[1::2] = r * np.sin(ps.theta)
-    return RealState(q)
+    return RealState(_interleave(r * np.cos(ps.theta), r * np.sin(ps.theta)))
 
 
 def to_polar(state: RealState) -> PolarState:
@@ -187,10 +198,7 @@ def to_complex(state: RealState) -> ComplexState:
 
 def from_complex(cs: ComplexState) -> RealState:
     """Unpack complex amplitudes into interleaved real coordinates."""
-    q = np.empty(2 * cs.n)
-    q[0::2] = cs.v.real
-    q[1::2] = cs.v.imag
-    return RealState(q)
+    return RealState(_interleave(cs.v.real, cs.v.imag))
 
 
 def born_probs(cs: ComplexState) -> ProbDist:
@@ -229,8 +237,6 @@ def polar_metric_quadratic(
     hypersphere.
     """
     n = ps.p.n
-    if dp.n != n:
-        raise DimensionMismatch(f"dp has {dp.n} components for {n} outcomes")
     dtheta_arr = np.asarray(dtheta, dtype=float)
     if dtheta_arr.shape != (n,):
         raise DimensionMismatch(f"dtheta must have shape ({n},)")
@@ -240,14 +246,8 @@ def polar_metric_quadratic(
         dchi_arr = np.asarray(dchi, dtype=float)
         if dchi_arr.shape != (n,):
             raise DimensionMismatch(f"dchi must have shape ({n},)")
-    probs = ps.p.probs
-    moving = dp.deltas != 0.0
-    if np.any(moving & (probs == 0.0)):
-        raise SingularMetric("dp is nonzero on an outcome with zero probability")
-    radial = np.zeros(n)
-    np.divide(dp.deltas**2, probs, out=radial, where=moving)
-    angular = probs * (dtheta_arr + g.a * dchi_arr) ** 2
-    return 0.25 * float(radial.sum()) + float(angular.sum())
+    angular = ps.p.probs * (dtheta_arr + g.a * dchi_arr) ** 2
+    return fisher_quadratic(ps.p, dp) + float(angular.sum())
 
 
 def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarray:
@@ -257,23 +257,15 @@ def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarra
     theta actually turns only where p_i > 0 contributes.
     """
     n = ps.p.n
-    if dp.n != n:
-        raise DimensionMismatch(f"dp has {dp.n} components for {n} outcomes")
     dth = np.asarray(dtheta_total, dtype=float)
     if dth.shape != (n,):
         raise DimensionMismatch(f"dtheta_total must have shape ({n},)")
-    probs = ps.p.probs
-    moving = dp.deltas != 0.0
-    if np.any(moving & (probs == 0.0)):
-        raise SingularMetric("dp is nonzero on an outcome with zero probability")
-    r = np.sqrt(probs)
+    moving = _moving(ps.p, dp)
+    r = np.sqrt(ps.p.probs)
     dr = np.zeros(n)
     np.divide(dp.deltas, 2.0 * r, out=dr, where=moving)
     c, s = np.cos(ps.theta), np.sin(ps.theta)
-    dq = np.empty(2 * n)
-    dq[0::2] = dr * c - r * s * dth
-    dq[1::2] = dr * s + r * c * dth
-    return dq
+    return _interleave(dr * c - r * s * dth, dr * s + r * c * dth)
 
 
 @dataclass(frozen=True)
@@ -309,6 +301,18 @@ def measure_invariance_check(
     passed = deviation <= rel_tol * mean
     constant = 1.0 / (TWO_PI * mean) if mean > 0.0 else None
     return MeasureInvarianceResult(passed, deviation, mean, constant)
+
+
+def random_complex_state(n: int, seed) -> ComplexState:
+    """Uniform (unitarily invariant) random state of n >= 2 complex amplitudes.
+
+    Accepts an int seed or a numpy Generator.
+    """
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return ComplexState(z / np.linalg.norm(z))
 
 
 def random_real_state(dim: int, seed) -> RealState:

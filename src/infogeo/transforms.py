@@ -32,8 +32,8 @@ from .statespace import (
     DEFAULT_GAUGE,
     GaugeConvention,
     RealState,
+    _interleave,
     coarse_grain,
-    gauge_shift,
     random_real_state,
     state_event_probs,
     to_polar,
@@ -131,17 +131,23 @@ def classify(m, tol: float = STRUCTURAL_TOL) -> Classification:
     return Classification(TransformKind.NEITHER, None, None, None, comm, anti)
 
 
+def _to_complex_matrix(m, kind: TransformKind, tol: float) -> np.ndarray:
+    # classify validates orthogonality; both branches read u off the first
+    # column of every block
+    arr = np.asarray(m, dtype=float)
+    c = classify(arr, tol)
+    if c.kind is not kind:
+        raise WrongType(f"map classifies as {c.kind.value}, not {kind.value}")
+    return arr[0::2, 0::2] + 1j * arr[1::2, 0::2]
+
+
 def to_unitary(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Complex N x N unitary of a Type1 map: u_ij = alpha_ij exp(1j phi_ij).
 
     Satisfies to_complex(m @ Q) = u @ to_complex(Q).  Raises WrongType for
     Type2 or unclassifiable maps.
     """
-    arr = require_orthogonal(m, tol)
-    c = classify(arr, tol)
-    if c.kind is not TransformKind.TYPE1:
-        raise WrongType(f"map classifies as {c.kind.value}, not type1")
-    return arr[0::2, 0::2] + 1j * arr[1::2, 0::2]
+    return _to_complex_matrix(m, TransformKind.TYPE1, tol)
 
 
 def to_antiunitary(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
@@ -150,11 +156,7 @@ def to_antiunitary(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     Satisfies to_complex(m @ Q) = u @ conj(to_complex(Q)).  Raises WrongType
     for Type1 or unclassifiable maps.
     """
-    arr = require_orthogonal(m, tol)
-    c = classify(arr, tol)
-    if c.kind is not TransformKind.TYPE2:
-        raise WrongType(f"map classifies as {c.kind.value}, not type2")
-    return arr[0::2, 0::2] + 1j * arr[1::2, 0::2]
+    return _to_complex_matrix(m, TransformKind.TYPE2, tol)
 
 
 def from_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
@@ -174,14 +176,12 @@ def from_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
 
 
 def from_antiunitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Real 2N x 2N Type2 map realizing v -> u @ conj(v) on amplitudes."""
-    arr = require_unitary(u, tol)
-    n = arr.shape[0]
-    m = np.empty((2 * n, 2 * n))
-    m[0::2, 0::2] = arr.real
-    m[0::2, 1::2] = arr.imag
-    m[1::2, 0::2] = arr.imag
-    m[1::2, 1::2] = -arr.real
+    """Real 2N x 2N Type2 map realizing v -> u @ conj(v) on amplitudes.
+
+    The Type1 layout of u with every block reflected: odd columns negated.
+    """
+    m = from_unitary(u, tol)
+    m[:, 1::2] *= -1.0
     return m
 
 
@@ -232,10 +232,7 @@ def gauge_invariance_probe(
         # all shifted copies of this state at once: rows are shifts
         theta = np.mod(ps.theta[None, :] + g.a * chi0s[:, None], 2.0 * math.pi)
         r = np.sqrt(ps.p.probs)[None, :]
-        qs = np.empty((chi0s.size, dim))
-        qs[:, 0::2] = r * np.cos(theta)
-        qs[:, 1::2] = r * np.sin(theta)
-        imgs = qs @ arr.T
+        imgs = _interleave(r * np.cos(theta), r * np.sin(theta)) @ arr.T
         probs = (imgs**2).reshape(chi0s.size, -1, 2).sum(axis=2)
         devs = np.abs(probs - base[None, :]).max(axis=1)
         k = int(devs.argmax())
@@ -251,29 +248,34 @@ def gauge_invariance_probe(
     )
 
 
-def random_orthogonal(dim: int, seed) -> np.ndarray:
-    """Haar-random orthogonal matrix via QR of a standard-normal matrix.
+def _haar(rng: np.random.Generator, dim: int, batch: tuple = (), complex_=False) -> np.ndarray:
+    """Haar-random orthogonal or unitary matrices of shape (*batch, dim, dim).
 
-    The R-factor sign correction makes the distribution exactly Haar.
-    Bitwise reproducible for a fixed integer seed.
+    QR of a (complex) standard-normal matrix with each column of Q scaled by
+    the phase of the matching diagonal entry of R, which makes the
+    distribution exactly Haar (Mezzadri, math-ph/0609050).  The real part of
+    every draw is taken before the imaginary part.
     """
     if dim < 2:
         raise ValidationError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim))
+    shape = (*batch, dim, dim)
+    z = rng.standard_normal(shape)
+    if complex_:
+        z = z + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0.0] = 1.0
-    return q * d[None, :]
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_orthogonal(dim: int, seed) -> np.ndarray:
+    """Haar-random orthogonal matrix via QR of a standard-normal matrix.
+
+    Bitwise reproducible for a fixed integer seed.
+    """
+    return _haar(np.random.default_rng(seed), dim)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a complex standard-normal matrix."""
-    if dim < 2:
-        raise ValidationError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r).copy()
-    d[d == 0.0] = 1.0
-    return q * (d / np.abs(d))[None, :]
+    return _haar(np.random.default_rng(seed), dim, complex_=True)

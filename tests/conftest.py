@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 # One human-readable line per acceptance criterion, collected while the
 # acceptance tests run and replayed after the capture ends so they are
 # always visible in plain `pytest -v` output.
@@ -24,8 +22,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
-
-
-def random_unit_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)

@@ -3,16 +3,18 @@
 Each test exercises one acceptance criterion at its stated tolerance and
 emits a single human-readable pass/fail line (replayed after the run by the
 terminal-summary hook in conftest).  Stochastic criteria run at fixed,
-recorded seeds.
+recorded seeds.  Criteria 1, 2, 3 and 8 read the check rows of the CLI
+batteries that define them, run once at their default configuration.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 
 import infogeo as ig
-from infogeo import cli, simplex
+from infogeo import cli
 from conftest import record_criterion
 
 SEED = 20260814
@@ -27,9 +29,13 @@ def _run(number: int, title: str, body) -> None:
     record_criterion(number, title, ok, detail)
 
 
-def _random_state(rng: np.random.Generator, n: int) -> ig.ComplexState:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ig.ComplexState(z / np.linalg.norm(z))
+@functools.cache
+def _battery(command: str):
+    """Check rows by name, details and wall time of one default-config run."""
+    started = time.perf_counter()
+    report = cli._RUNNERS[command](cli.RunConfig(command, seed=SEED))
+    elapsed = time.perf_counter() - started
+    return {c.name: c.value for c in report.checks}, report.details, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -37,29 +43,13 @@ def _random_state(rng: np.random.Generator, n: int) -> ig.ComplexState:
 
 def test_criterion_1_kl_quadratic_cubic_order():
     def body():
-        started = time.perf_counter()
-        rng = np.random.default_rng(SEED)
-        epsilons = (1e-2, 5e-3, 2.5e-3)
-        orders = {}
-        for n in (2, 4, 8):
-            errs = np.zeros(len(epsilons))
-            for _ in range(1000):
-                p = simplex.ProbDist(cli._interior_dist(rng, n))
-                direction = cli._centered_direction(rng, n)
-                for k, eps in enumerate(epsilons):
-                    dp = ig.TangentVec(eps * direction)
-                    p2 = ig.ProbDist(p.probs + eps * direction)
-                    errs[k] += abs(
-                        ig.kl_divergence(p, p2) - 2.0 * ig.fisher_quadratic(p, dp)
-                    )
-            errs /= 1000.0
-            orders[n] = float(min(np.log2(errs[:-1] / errs[1:])))
-        elapsed = time.perf_counter() - started
+        checks, _, elapsed = _battery("metric-check")
+        orders = {n: checks[f"kl_fisher_order_n{n}"] for n in (2, 4, 8)}
         ok = all(order >= 2.7 for order in orders.values()) and elapsed < 5.0
         detail = (
             "KL vs quadratic form on 1000 pairs per dimension: observed orders "
             + ", ".join(f"n={n}: {o:.3f}" for n, o in orders.items())
-            + f" (need >= 2.7); {elapsed:.2f} s (limit 5 s)"
+            + f" (need >= 2.7); metric battery {elapsed:.2f} s (limit 5 s)"
         )
         return ok, detail
 
@@ -68,20 +58,17 @@ def test_criterion_1_kl_quadratic_cubic_order():
 
 def test_criterion_2_information_gain_law():
     def body():
-        p = ig.ProbDist([0.5, 0.5])
-        p2 = ig.ProbDist([0.505, 0.495])  # ds^2 per toss = 2.5e-5
-        bands_ok = []
-        ratios = []
-        for tosses, band in ((2000, 0.05), (800, 0.02), (400, 0.01)):
-            exp = ig.CoinExperiment(p, p2, tosses)
-            ratio = ig.info_gain_exact(exp) / ig.info_gain_approx(exp)
-            ratios.append((tosses * 2.5e-5, ratio, band))
-            bands_ok.append(abs(ratio - 1.0) <= band)
-        worked = ig.CoinExperiment(p, p2, 4000)  # signal 0.1
-        exact = ig.info_gain_exact(worked)
-        approx = ig.info_gain_approx(worked)
+        # default coin pair [0.5, 0.5] vs [0.505, 0.495]: ds^2 per toss 2.5e-5
+        checks, details, _ = _battery("coin-distinguish")
+        # at signal s the ratio band is s itself
+        ratios = [
+            (row["signal"], checks[f"gain_ratio_at_{band:g}"], band)
+            for row, band in zip(details["gain_table"], (0.05, 0.02, 0.01))
+        ]
+        exact = checks["worked_point_exact_gain"]  # signal 0.1
+        approx = checks["worked_point_approx_gain"]
         worked_ok = abs(exact - 0.00498) <= 1e-5 and abs(approx - 0.005) <= 1e-5
-        ok = all(bands_ok) and worked_ok
+        ok = all(abs(r - 1.0) <= b for _, r, b in ratios) and worked_ok
         detail = (
             "exact/approx gain ratios "
             + ", ".join(f"{r:.5f} at signal {s:g} (band {b:.0%})" for s, r, b in ratios)
@@ -95,21 +82,16 @@ def test_criterion_2_information_gain_law():
 
 def test_criterion_3_monte_carlo_distinguishability():
     def body():
-        started = time.perf_counter()
-        p = ig.ProbDist([0.5, 0.5])
-        p2 = ig.ProbDist([0.505, 0.495])  # delta = 0.005
-        exp = ig.CoinExperiment(p, p2, 800)  # signal 0.02 <= 0.05
-        exact = ig.info_gain_exact(exp)
-        summary = ig.monte_carlo_gain(exp, trials=10_000, seed=SEED)
-        err = abs(summary.gain_at_mean_posterior - exact)
-        bound = 3.0 * summary.stderr_gain_at_mean_posterior
-        elapsed = time.perf_counter() - started
+        checks, details, elapsed = _battery("coin-distinguish")
+        mc = details["monte_carlo"]  # 800 tosses: signal 0.02 <= 0.05
+        err = checks["monte_carlo_gain_abs_error"]
+        bound = 3.0 * mc["stderr_gain_at_mean_posterior"]
         ok = err <= bound and elapsed < 60.0
         detail = (
             f"10^4 trials at seed {SEED}: entropy drop at the mean posterior "
-            f"{summary.gain_at_mean_posterior:.4e} vs exact {exact:.4e}, "
+            f"{mc['gain_at_mean_posterior']:.4e} vs exact {mc['exact_gain']:.4e}, "
             f"|diff| {err:.2e} <= {bound:.2e} (3 standard errors); "
-            f"{elapsed:.1f} s (limit 60 s)"
+            f"coin battery {elapsed:.1f} s (limit 60 s)"
         )
         return ok, detail
 
@@ -250,7 +232,7 @@ def test_criterion_7_born_statistics():
                 phases=rng.uniform(0.0, 2.0 * math.pi, size=n),
             )
             for _ in range(2):
-                v = _random_state(rng, n)
+                v = ig.random_complex_state(n, rng)
                 via_stage = ig.outcome_distribution(meas, v).probs
                 via_basis = np.abs(meas.basis().conj().T @ v.v) ** 2
                 born_err = max(born_err, float(np.abs(via_stage - via_basis).max()))
@@ -261,7 +243,7 @@ def test_criterion_7_born_statistics():
         meas_s = ig.Measurement(
             ig.random_unitary(3, 314), phases=rng.uniform(0.0, 2.0 * math.pi, size=3)
         )
-        v_s = _random_state(rng, 3)
+        v_s = ig.random_complex_state(3, rng)
         probs = ig.outcome_distribution(meas_s, v_s).probs
         counts = ig.sample_outcomes(meas_s, v_s, shots, seed=271828)
         zmax = max(
@@ -282,18 +264,16 @@ def test_criterion_7_born_statistics():
 
 def test_criterion_8_measure_invariance():
     def body():
-        grid = np.linspace(0.0, 1.0, 101)
-        affine = ig.measure_invariance_check(np.full(grid.size, 1.3))
-        quadratic = ig.measure_invariance_check(2.0 * grid)  # theta = chi^2
+        checks, _, _ = _battery("metric-check")
+        deviation = checks["measure_quadratic_deviation"]  # theta = chi^2
         ok = (
-            affine.passed
-            and not quadratic.passed
-            and abs(quadratic.deviation - 2.0) <= 1e-12
+            checks["measure_affine_passes"] == 1.0
+            and checks["measure_quadratic_flagged"] == 1.0
+            and abs(deviation - 2.0) <= 1e-12
         )
         detail = (
-            f"affine angle map passes (deviation {affine.deviation:g}); "
-            f"quadratic angle map on [0, 1] fails with deviation "
-            f"{quadratic.deviation:.12f} (expected 2.0)"
+            "affine angle map passes; quadratic angle map on [0, 1] fails with "
+            f"deviation {deviation:.12f} (expected 2.0)"
         )
         return ok, detail
 
@@ -307,8 +287,8 @@ def test_criterion_9_distance_envelope_and_maximum():
         slowest = 0.0
         for n, bound in ((2, 1e-3), (3, 5e-3)):
             for _ in range(20):
-                u = _random_state(rng, n)
-                v = _random_state(rng, n)
+                u = ig.random_complex_state(n, rng)
+                v = ig.random_complex_state(n, rng)
                 started = time.perf_counter()
                 res = ig.maximize_statistical_distance(
                     u, v, budget=10, seed=int(rng.integers(2**62))
@@ -319,8 +299,8 @@ def test_criterion_9_distance_envelope_and_maximum():
         envelope = -math.inf
         for k in range(1000):
             n = (2, 3)[k % 2]
-            u = _random_state(rng, n)
-            v = _random_state(rng, n)
+            u = ig.random_complex_state(n, rng)
+            v = ig.random_complex_state(n, rng)
             meas = ig.Measurement(ig.random_unitary(n, int(rng.integers(2**62))))
             ds = ig.statistical_distance(
                 ig.outcome_distribution(meas, u), ig.outcome_distribution(meas, v)

@@ -115,6 +115,21 @@ def test_forced_failure_exits_one(capsys):
     assert "FAIL embed_distance_identity_max" in err
 
 
+def test_unknown_override_name_exits_two_without_report(capsys):
+    code, out, err = run(
+        ["coin-distinguish", "--trials", "0", "--tol-override", "no_such_check=1",
+         "--tol-override", "equal_coins_exact_gain=1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and "no_such_check" in err
+    assert "equal_coins_exact_gain" not in err
+
+
+def test_parser_leaves_defaults_to_run_config():
+    args = build_parser().parse_args(["born-check"])
+    assert vars(args) == {"command": "born-check"}
+
+
 # ---------------------------------------------------------------------------
 # report content
 

@@ -12,20 +12,16 @@ from infogeo import (
     hilbert_distance,
     maximize_statistical_distance,
     outcome_distribution,
+    random_complex_state,
     random_unitary,
     statistical_distance,
     unitary_from_params,
 )
-from infogeo.distmax import MAX_DIMENSION, n_parameters
+from infogeo.distmax import MAX_DIMENSION, _distance_after, n_parameters
 
 E0 = ComplexState([1.0, 0.0])
 E1 = ComplexState([0.0, 1.0])
 DIAG = ComplexState([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
-
-
-def random_state(rng: np.random.Generator, n: int) -> ComplexState:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ComplexState(z / np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +38,8 @@ def test_hilbert_distance_values():
 
 def test_hilbert_distance_invariances():
     rng = np.random.default_rng(4)
-    u = random_state(rng, 3)
-    v = random_state(rng, 3)
+    u = random_complex_state(3, rng)
+    v = random_complex_state(3, rng)
     d = hilbert_distance(u, v)
     # independent global phases
     assert hilbert_distance(
@@ -103,8 +99,8 @@ def test_maximize_matches_hilbert_angle_frozen_pair():
 
 def test_maximizer_result_is_achieved_by_reported_measurement():
     rng = np.random.default_rng(30)
-    u = random_state(rng, 2)
-    v = random_state(rng, 2)
+    u = random_complex_state(2, rng)
+    v = random_complex_state(2, rng)
     res = maximize_statistical_distance(u, v, budget=4, seed=1)
     achieved = statistical_distance(
         outcome_distribution(res.argmax_measurement, u),
@@ -117,8 +113,8 @@ def test_maximizer_result_is_achieved_by_reported_measurement():
 
 def test_maximizer_deterministic_and_monotone_in_budget():
     rng = np.random.default_rng(31)
-    u = random_state(rng, 3)
-    v = random_state(rng, 3)
+    u = random_complex_state(3, rng)
+    v = random_complex_state(3, rng)
     a = maximize_statistical_distance(u, v, budget=2, seed=7)
     b = maximize_statistical_distance(u, v, budget=2, seed=7)
     assert a.max_ds == b.max_ds
@@ -132,8 +128,8 @@ def test_maximizer_deterministic_and_monotone_in_budget():
 
 def test_maximizer_invariant_under_joint_rotation():
     rng = np.random.default_rng(32)
-    u = random_state(rng, 2)
-    v = random_state(rng, 2)
+    u = random_complex_state(2, rng)
+    v = random_complex_state(2, rng)
     w = random_unitary(2, 17)
     base = maximize_statistical_distance(u, v, budget=4, seed=3)
     rotated = maximize_statistical_distance(
@@ -148,7 +144,7 @@ def test_maximizer_validation():
         maximize_statistical_distance(E0, ComplexState([1.0, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         maximize_statistical_distance(E0, E1, budget=0)
-    big = random_state(rng, MAX_DIMENSION + 1)
+    big = random_complex_state(MAX_DIMENSION + 1, rng)
     with pytest.raises(ValidationError):
         maximize_statistical_distance(big, big)
 
@@ -163,8 +159,8 @@ def test_certify_identical_states_is_zero():
 
 def test_certify_bounds():
     rng = np.random.default_rng(34)
-    u = random_state(rng, 2)
-    v = random_state(rng, 2)
+    u = random_complex_state(2, rng)
+    v = random_complex_state(2, rng)
     res = maximize_statistical_distance(u, v, budget=6, seed=5)
     cert = certify_upper_bound(u, v, samples=10_000, seed=5)
     dh = hilbert_distance(u, v)
@@ -177,8 +173,8 @@ def test_certify_bounds():
 
 def test_certify_deterministic_and_validates():
     rng = np.random.default_rng(35)
-    u = random_state(rng, 3)
-    v = random_state(rng, 3)
+    u = random_complex_state(3, rng)
+    v = random_complex_state(3, rng)
     assert certify_upper_bound(u, v, samples=500, seed=2) == certify_upper_bound(
         u, v, samples=500, seed=2
     )
@@ -186,3 +182,13 @@ def test_certify_deterministic_and_validates():
         certify_upper_bound(u, v, samples=0, seed=2)
     with pytest.raises(DimensionMismatch):
         certify_upper_bound(E0, ComplexState([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_certify_single_sample_is_the_haar_unitary_of_its_seed(n):
+    # the certifier and random_unitary share one sampler and one draw order
+    rng = np.random.default_rng(36)
+    u, v = random_complex_state(n, rng), random_complex_state(n, rng)
+    for seed in range(50):
+        cert = certify_upper_bound(u, v, samples=1, seed=seed)
+        assert abs(cert - _distance_after(random_unitary(n, seed), u.v, v.v)) <= 1e-15

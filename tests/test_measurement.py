@@ -12,17 +12,13 @@ from infogeo import (
     ValidationError,
     apply_measurement,
     outcome_distribution,
+    random_complex_state,
     random_unitary,
     sample_outcomes,
     simulability_roundtrip,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-def random_state(rng: np.random.Generator, n: int) -> ComplexState:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ComplexState(z / np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +64,7 @@ def test_outcome_distribution_two_routes_agree():
             random_unitary(n, int(rng.integers(2**32))),
             phases=rng.uniform(0.0, 2.0 * math.pi, size=n),
         )
-        v = random_state(rng, n)
+        v = random_complex_state(n, rng)
         via_stage = outcome_distribution(meas, v).probs
         via_basis = np.abs(meas.basis().conj().T @ v.v) ** 2
         np.testing.assert_allclose(via_stage, via_basis, atol=1e-12)
@@ -78,7 +74,7 @@ def test_outcome_distribution_two_routes_agree():
 def test_outcome_distribution_phase_invariance():
     rng = np.random.default_rng(6)
     u = random_unitary(3, 77)
-    v = random_state(rng, 3)
+    v = random_complex_state(3, rng)
     base = outcome_distribution(Measurement(u), v).probs
     rephased = Measurement(u, phases=rng.uniform(0.0, 6.0, size=3))
     np.testing.assert_allclose(
@@ -147,7 +143,7 @@ def test_repeating_a_measurement_reproduces_the_outcome():
             random_unitary(n, int(rng.integers(2**32))),
             phases=rng.uniform(0.0, 2.0 * math.pi, size=n),
         )
-        v = random_state(rng, n)
+        v = random_complex_state(n, rng)
         first = apply_measurement(meas, v, seed=int(rng.integers(2**32)))
         again = outcome_distribution(meas, first.output_state)
         assert again.probs[first.outcome] == pytest.approx(1.0, abs=1e-12)
@@ -170,7 +166,7 @@ def test_sample_outcomes_deterministic_and_complete():
 def test_sample_outcomes_match_born_within_three_sigma():
     rng = np.random.default_rng(14)
     meas = Measurement(random_unitary(3, 200))
-    v = random_state(rng, 3)
+    v = random_complex_state(3, rng)
     shots = 100_000
     counts = sample_outcomes(meas, v, shots, seed=3)
     probs = outcome_distribution(meas, v).probs

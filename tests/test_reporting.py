@@ -102,6 +102,12 @@ def test_json_text_is_valid_json_and_ordered():
     assert text.index("b_first") < text.index("a_second")
 
 
+def test_json_text_escapes_keys_and_strings():
+    nasty = 'say "hi" \\ then\nmore\ttab'
+    tree = {nasty: nasty, "list": [nasty]}
+    assert json.loads(json_text(tree)) == tree
+
+
 def test_json_text_handles_numpy_scalars():
     tree = {"i": np.int64(3), "x": np.float64(0.5)}
     assert json.loads(json_text(tree)) == {"i": 3, "x": 0.5}

@@ -27,6 +27,7 @@ from infogeo import (
     measure_invariance_check,
     polar_metric_quadratic,
     polar_pushforward,
+    random_complex_state,
     random_real_state,
     state_event_probs,
     to_complex,
@@ -315,3 +316,15 @@ def test_random_real_state_accepts_generator():
     a = random_real_state(4, rng)
     b = random_real_state(4, rng)
     assert not np.array_equal(a.q, b.q)
+
+
+def test_random_complex_state_seeds_and_generators():
+    a = random_complex_state(5, 42)
+    np.testing.assert_array_equal(a.v, random_complex_state(5, 42).v)
+    assert abs(float(np.sum(np.abs(a.v) ** 2)) - 1.0) <= 1e-12
+    rng = np.random.default_rng(5)
+    first = random_complex_state(3, rng)
+    np.testing.assert_array_equal(first.v, random_complex_state(3, 5).v)
+    assert not np.array_equal(first.v, random_complex_state(3, rng).v)
+    with pytest.raises(ValidationError):
+        random_complex_state(1, 0)

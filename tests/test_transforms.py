@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from infogeo import (
     to_complex,
     to_polar,
     to_unitary,
+    transforms,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -185,6 +187,15 @@ def test_wrong_type_conversions_raise():
         to_unitary(random_orthogonal(4, 3))
     with pytest.raises(NotUnitary):
         from_unitary(np.ones((2, 2), dtype=complex))
+
+
+def test_converters_validate_orthogonality_once(monkeypatch):
+    spy = mock.Mock(wraps=transforms.require_orthogonal)
+    monkeypatch.setattr(transforms, "require_orthogonal", spy)
+    u = random_unitary(3, 8)
+    to_unitary(from_unitary(u))
+    to_antiunitary(from_antiunitary(u))
+    assert spy.call_count == 2
 
 
 @settings(max_examples=25)
