@@ -558,7 +558,7 @@ def run_wootters(cfg: RunConfig) -> Report:
             {"hilbert": res.hilbert_distance, "max_ds": res.max_ds,
              "gap": res.gap, "certified": cert}
         )
-        if res.gap > max_gap:
+        if worst_pair is None or res.gap > max_gap:
             max_gap = res.gap
             worst_pair = res
     report.checks.append(check_le("max_gap", max_gap, gap_bound, ov))

@@ -169,6 +169,22 @@ def test_csv_format(capsys):
     assert len(lines) == 5  # header + four checks
 
 
+def test_wootters_reports_worst_pair_measurement_at_zero_gap(capsys):
+    # several of these seeds optimize their one pair to a gap of exactly 0.0
+    missing = []
+    for seed in range(12):
+        code, out, _ = run(
+            ["wootters", "--pairs", "1", "--budget", "2", "--draws", "1",
+             "--seed", str(seed)], capsys,
+        )
+        assert code == 0
+        details = json.loads(out)["details"]
+        assert set(details["pair_table"][0]) == {"hilbert", "max_ds", "gap", "certified"}
+        if details["worst_pair_measurement"].get("unitary", {}).get("shape") != [2, 2]:
+            missing.append(seed)
+    assert missing == []
+
+
 def test_out_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, err = run(

@@ -17,7 +17,7 @@ from infogeo import (
     statistical_distance,
     unitary_from_params,
 )
-from infogeo.distmax import MAX_DIMENSION, _distance_after, n_parameters
+from infogeo.distmax import MAX_DIMENSION, _distance_after, _sweep, n_parameters
 
 E0 = ComplexState([1.0, 0.0])
 E1 = ComplexState([0.0, 1.0])
@@ -74,6 +74,50 @@ def test_unitary_from_params_identity_at_zero():
     np.testing.assert_allclose(unitary_from_params(np.zeros(4), 2), np.eye(2))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_phase_coordinates_do_not_move_the_distance(n):
+    # U = diag(exp(1j phases)) @ M, so |U a| = |M a| and the search may skip
+    # the phases; arccos turns the 1e-15 overlap error into 1e-15 / sin(d)
+    rng = np.random.default_rng(37)
+    u, v = random_complex_state(n, rng), random_complex_state(n, rng)
+    params = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
+    other = params.copy()
+    other[:n] = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    w, w_other = unitary_from_params(params, n), unitary_from_params(other, n)
+    for x in (u.v, v.v):
+        assert np.max(np.abs(np.abs(w @ x) - np.abs(w_other @ x))) <= 1e-15
+    d = _distance_after(w, u.v, v.v)
+    assert abs(d - _distance_after(w_other, u.v, v.v)) * math.sin(d) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_sweep_candidates_match_the_reference_chart(n):
+    # replay one sweep of the incremental kernel under the search's own
+    # acceptance rule; every candidate scores as the full chart does
+    rng = np.random.default_rng(38)
+    u, v = random_complex_state(n, rng), random_complex_state(n, rng)
+    params = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
+    rot = params[n:].tolist()
+
+    def reference(rot):
+        w = unitary_from_params(np.concatenate((params[:n], rot)), n)
+        return _distance_after(w, u.v, v.v)
+
+    best = reference(rot)
+    candidates = accepted = 0
+    for k, cand, val in _sweep(np.stack((u.v, v.v), axis=1), rot, 0.5):
+        trial = list(rot)
+        trial[k] = cand
+        assert abs(val - reference(trial)) <= 1e-13
+        candidates += 1
+        if val > best:
+            rot[k], best = cand, val
+            accepted += 1
+    # +-step on (theta, zeta) of each of the n(n-1)/2 rotations, no phases
+    assert candidates == 4 * (n * (n - 1) // 2)
+    assert accepted > 0
+
+
 # ---------------------------------------------------------------------------
 # maximizer
 
@@ -97,11 +141,12 @@ def test_maximize_matches_hilbert_angle_frozen_pair():
     assert res.max_ds == pytest.approx(math.pi / 4.0, abs=1e-3)
 
 
-def test_maximizer_result_is_achieved_by_reported_measurement():
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_maximizer_result_is_achieved_by_reported_measurement(n):
     rng = np.random.default_rng(30)
-    u = random_complex_state(2, rng)
-    v = random_complex_state(2, rng)
-    res = maximize_statistical_distance(u, v, budget=4, seed=1)
+    u = random_complex_state(n, rng)
+    v = random_complex_state(n, rng)
+    res = maximize_statistical_distance(u, v, budget=1 if n == 8 else 4, seed=1)
     achieved = statistical_distance(
         outcome_distribution(res.argmax_measurement, u),
         outcome_distribution(res.argmax_measurement, v),
@@ -124,6 +169,23 @@ def test_maximizer_deterministic_and_monotone_in_budget():
         for k in (1, 2, 4)
     ]
     assert values[0] <= values[1] <= values[2]
+
+
+def test_maximizer_counts_rotation_evaluations():
+    rng = np.random.default_rng(39)
+    u = random_complex_state(3, rng)
+    v = random_complex_state(3, rng)
+    counts = {
+        k: maximize_statistical_distance(u, v, budget=k, seed=7).evaluations
+        for k in (1, 2, 4)
+    }
+    assert maximize_statistical_distance(u, v, budget=2, seed=7).evaluations == counts[2]
+    assert counts[1] < counts[2] < counts[4]
+    # one start evaluation per restart, then 4 n(n-1)/2 per sweep, and the
+    # step 0.5 halves at least 26 times before it drops below 1e-8
+    per_sweep = 4 * 3
+    assert (counts[1] - 1) % per_sweep == 0
+    assert (counts[1] - 1) // per_sweep >= 26
 
 
 def test_maximizer_invariant_under_joint_rotation():
