@@ -683,8 +683,12 @@ def main(argv=None) -> int:
 
     rendered = render_report(report, cfg.format)
     if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"config error: cannot write report to {cfg.out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
 

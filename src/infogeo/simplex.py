@@ -17,6 +17,7 @@ cubic in the step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +135,31 @@ def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
     return 0.25 * float(terms.sum())
 
 
+def _angle_between(diff: np.ndarray, total: np.ndarray) -> float:
+    """Angle 2 atan2(|x - y|, |x + y|) between unit vectors x, y with
+    x . y >= 0, given diff = x - y and total = x + y.
+
+    Unlike arccos(x . y) this keeps the precision of diff at small angles.
+    Such an angle is at most pi/2; the cap absorbs rounding.
+    """
+    angle = 2.0 * math.atan2(float(np.linalg.norm(diff)), float(np.linalg.norm(total)))
+    return min(angle, 0.5 * math.pi)
+
+
 def statistical_distance(p: ProbDist, p2: ProbDist) -> float:
     """Geodesic distance arccos(sum_i sqrt(p_i * p2_i)), in [0, pi/2].
 
-    Equals 0 iff the distributions coincide and pi/2 iff their supports are
-    disjoint.
+    Computed as the angle 2 atan2(|d|, |sqrt(p) + sqrt(p2)|) with
+    d = (p - p2) / (sqrt(p) + sqrt(p2)) = sqrt(p) - sqrt(p2) (0 where both
+    vanish): p - p2 is exact for close inputs, so the distance keeps full
+    relative precision as it tends to 0.  Equals 0 iff the distributions
+    coincide and pi/2 iff their supports are disjoint.
     """
     _check_same_dim(p.n, p2.n)
-    overlap = float(np.sqrt(p.probs * p2.probs).sum())
-    return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
+    total = np.sqrt(p.probs) + np.sqrt(p2.probs)
+    diff = np.zeros_like(total)
+    np.divide(p.probs - p2.probs, total, out=diff, where=total > 0.0)
+    return _angle_between(diff, total)
 
 
 def kl_divergence(p: ProbDist, p2: ProbDist) -> float:

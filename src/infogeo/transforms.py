@@ -27,17 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonal, NotUnitary, ValidationError, WrongType
-from .statespace import (
-    DEFAULT_GAUGE,
-    GaugeConvention,
-    RealState,
-    _interleave,
-    coarse_grain,
-    random_real_state,
-    state_event_probs,
-    to_polar,
-)
+from .errors import DimensionMismatch, NotOrthogonal, NotUnitary, ValidationError, WrongType
+from .statespace import DEFAULT_GAUGE, GaugeConvention, _interleave
 
 STRUCTURAL_TOL = 1e-10
 
@@ -197,7 +188,7 @@ class ProbeResult:
 
 def gauge_invariance_probe(
     m,
-    states: list[RealState] | None = None,
+    states: list | None = None,
     chi0s=None,
     g: GaugeConvention = DEFAULT_GAUGE,
     n_states: int = 32,
@@ -207,11 +198,14 @@ def gauge_invariance_probe(
 ) -> ProbeResult:
     """Compare outcome probabilities of m @ Q before and after gauge shifts.
 
-    For each sampled state Q and shift chi0, the coarse-grained outcome
-    probabilities of m applied to Q and to the gauge-shifted Q are compared;
-    the probe passes iff the worst absolute deviation is at most tol.  When a
-    violation exists the witnessing state and shift are recorded.  Defaults
-    draw 32 uniform states and 16 shifts from the given seed.
+    For each sampled state Q (a RealState) and shift chi0, the coarse-grained
+    outcome probabilities of m applied to Q and to the gauge-shifted Q are
+    compared; the probe passes iff the worst absolute deviation is at most
+    tol.  When a violation exists the witnessing state and shift are
+    recorded (the first in state-major order among equal deviations).
+    Defaults draw 32 uniform states and 16 shifts from the given seed.
+    Raises ValidationError for empty or non-finite states or shifts and
+    DimensionMismatch for states of another dimension than m.
     """
     arr = _as_square_matrix(m, float, "matrix")
     dim = arr.shape[0]
@@ -219,32 +213,42 @@ def gauge_invariance_probe(
         raise ValidationError("map must act on an even dimension >= 4")
     rng = np.random.default_rng(seed)
     if states is None:
-        states = [random_real_state(dim, rng) for _ in range(n_states)]
+        if n_states < 1:
+            raise ValidationError("n_states must be positive")
+        qs = rng.standard_normal((n_states, dim))
+        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+    else:
+        qs = [state.q for state in states]
+        if not qs:
+            raise ValidationError("states must not be empty")
+        if any(q.shape != (dim,) for q in qs):
+            raise DimensionMismatch(f"states must have dimension {dim}, the map's")
+        qs = np.stack(qs)
     if chi0s is None:
+        if n_shifts < 1:
+            raise ValidationError("n_shifts must be positive")
         chi0s = rng.uniform(0.0, 2.0 * math.pi, size=n_shifts)
     chi0s = np.asarray(chi0s, dtype=float)
+    if chi0s.ndim != 1 or chi0s.size == 0 or not np.all(np.isfinite(chi0s)):
+        raise ValidationError("chi0s must be a nonempty vector of finite shifts")
 
-    worst = -1.0
-    witness: tuple[np.ndarray, float] | None = None
-    for state in states:
-        base = coarse_grain(state_event_probs(RealState(arr @ state.q))).probs
-        ps = to_polar(state)
-        # all shifted copies of this state at once: rows are shifts
-        theta = np.mod(ps.theta[None, :] + g.a * chi0s[:, None], 2.0 * math.pi)
-        r = np.sqrt(ps.p.probs)[None, :]
-        imgs = _interleave(r * np.cos(theta), r * np.sin(theta)) @ arr.T
-        probs = (imgs**2).reshape(chi0s.size, -1, 2).sum(axis=2)
-        devs = np.abs(probs - base[None, :]).max(axis=1)
-        k = int(devs.argmax())
-        if devs[k] > worst:
-            worst = float(devs[k])
-            witness = (state.q, float(chi0s[k]))
+    # a shift turns every coordinate pair by a * chi0; shift 0 comes first, so
+    # imgs[:, 0] is the unshifted image of each state
+    angles = g.a * np.concatenate(([0.0], chi0s))[None, :, None]
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = qs[:, None, 0::2], qs[:, None, 1::2]
+    imgs = _interleave(even * cos - odd * sin, even * sin + odd * cos) @ arr.T
+    probs = (imgs**2).reshape(*imgs.shape[:2], -1, 2).sum(axis=3)
+    devs = np.abs(probs[:, 1:] - probs[:, :1]).max(axis=2)
+    # row-major argmax: the first state, then the first shift, at the maximum
+    i, k = np.unravel_index(devs.argmax(), devs.shape)
+    worst = float(devs[i, k])
     passed = worst <= tol
     return ProbeResult(
         passed=passed,
         max_deviation=worst,
-        witness_state=None if passed else witness[0],
-        witness_shift=None if passed else witness[1],
+        witness_state=None if passed else qs[i],
+        witness_shift=None if passed else float(chi0s[k]),
     )
 
 

@@ -1,9 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
+from infogeo import (
+    RealState,
+    coarse_grain,
+    from_polar,
+    gauge_shift,
+    state_event_probs,
+    to_polar,
+)
 from infogeo.cli import RunConfig, build_parser, main, run_correspondence
 from infogeo.errors import ValidationError
+from infogeo.reporting import array_from_json
 
 # small, fast battery sizes shared by most invocations
 FAST = [
@@ -197,6 +207,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert report["command"] == "coin-distinguish"
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run(["born-check", "--seed", "1", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot write report" in err
+    assert not path.exists()
+
+
 def test_all_aggregates_every_battery(capsys):
     code, out, _ = run(["all", "--seed", "6", *FAST], capsys)
     assert code == 0
@@ -221,6 +240,16 @@ def test_correspondence_reports_haar_witness_and_degenerate_note(capsys):
     witness = report["details"]["first_haar_witness"]
     assert witness["witness_state"]["shape"] == [4]
     assert witness["deviation"] > 1e-6
+    # replay the reported witness: the shift moves the outcome probabilities
+    # of the mapped state by the reported deviation
+    m = array_from_json(witness["matrix"])
+    state = RealState(array_from_json(witness["witness_state"]))
+    before = coarse_grain(state_event_probs(RealState(m @ state.q))).probs
+    shifted = from_polar(gauge_shift(to_polar(state), witness["witness_shift"]))
+    after = coarse_grain(state_event_probs(RealState(m @ shifted.q))).probs
+    assert float(np.abs(after - before).max()) == pytest.approx(
+        witness["deviation"], rel=1e-9
+    )
     assert any("2x2" in note for note in report["notes"])
 
 

@@ -18,6 +18,7 @@ from infogeo import (
     unitary_from_params,
 )
 from infogeo.distmax import MAX_DIMENSION, _distance_after, _sweep, n_parameters
+from conftest import decimal_ray_angle
 
 E0 = ComplexState([1.0, 0.0])
 E1 = ComplexState([0.0, 1.0])
@@ -50,6 +51,20 @@ def test_hilbert_distance_invariances():
     assert hilbert_distance(
         ComplexState(w @ u.v), ComplexState(w @ v.v)
     ) == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("angle, phase", [(0.927, 1.0), (0.3, 1j)])
+def test_hilbert_distance_is_accurate_at_small_distances(target, angle, phase):
+    # amplitudes with a common exact phase (1 or 1j) keep u^dagger v real, so
+    # the phase alignment is exact and the reference is the real angle
+    u = ComplexState(phase * np.array([math.cos(angle), 1j * math.sin(angle)]))
+    v = ComplexState(
+        phase * np.array([math.cos(angle + target), 1j * math.sin(angle + target)])
+    )
+    exact = decimal_ray_angle(np.r_[u.v.real, u.v.imag], np.r_[v.v.real, v.v.imag])
+    assert exact == pytest.approx(target, rel=1e-5)
+    assert hilbert_distance(u, v) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from infogeo import (
     sqrt_embed,
     statistical_distance,
 )
+from conftest import decimal_ray_angle
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -139,6 +140,24 @@ def test_statistical_distance_values():
     assert statistical_distance(ProbDist([1.0, 0.0]), ProbDist([0.0, 1.0])) == pytest.approx(
         math.pi / 2.0
     )
+
+
+@pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize(
+    "base, pattern",
+    [([0.25, 0.75], [1.0, -1.0]), ([0.125, 0.375, 0.5], [1.0, 1.0, -2.0])],
+    ids=["n2", "n3"],
+)
+def test_statistical_distance_is_accurate_at_small_distances(target, base, pattern):
+    # offsets are multiples of 2^-53, so both distributions sum exactly to 1
+    # and the reference is the angle between their square-root embeddings
+    scale = target / math.sqrt(0.25 * sum(c * c / b for c, b in zip(pattern, base)))
+    delta = round(scale * 2.0**53) * 2.0**-53
+    p = ProbDist(base)
+    p2 = ProbDist([b + c * delta for b, c in zip(base, pattern)])
+    exact = decimal_ray_angle(p.probs, p2.probs, sqrt=True)
+    assert exact == pytest.approx(target, rel=1e-5)
+    assert statistical_distance(p, p2) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_statistical_distance_dimension_mismatch():

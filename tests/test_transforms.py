@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogeo import (
+    DimensionMismatch,
     NotOrthogonal,
     NotUnitary,
     RealState,
@@ -254,8 +255,38 @@ def test_probe_passes_for_both_branches():
         assert res.witness_state is None and res.witness_shift is None
 
 
-def test_probe_fails_for_generic_orthogonal_with_witness():
-    m = random_orthogonal(6, 3)
+def _reference_probe(m, seed):
+    """The default probe (32 states, 16 shifts) as one loop through the public charts."""
+    rng = np.random.default_rng(seed)
+    states = [random_real_state(m.shape[0], rng) for _ in range(32)]
+    chi0s = rng.uniform(0.0, 2.0 * math.pi, size=16)
+    worst, witness = -1.0, None
+    for state in states:
+        before = coarse_grain(state_event_probs(RealState(m @ state.q))).probs
+        for chi0 in chi0s:
+            moved = RealState(m @ from_polar(gauge_shift(to_polar(state), chi0)).q)
+            dev = float(np.abs(coarse_grain(state_event_probs(moved)).probs - before).max())
+            if dev > worst:
+                worst, witness = dev, (state.q, float(chi0))
+    return worst, witness
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_probe_matches_per_state_reference(dim):
+    u = random_unitary(dim // 2, dim)
+    for m in (from_unitary(u), from_antiunitary(u), random_orthogonal(dim, dim)):
+        for seed in range(3):
+            res = gauge_invariance_probe(m, seed=seed)
+            worst, (state, shift) = _reference_probe(m, seed)
+            assert res.max_deviation == pytest.approx(worst, rel=0.0, abs=1e-14)
+            if not res.passed:
+                assert res.witness_shift == shift
+                np.testing.assert_allclose(res.witness_state, state, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_probe_fails_for_generic_orthogonal_with_witness(dim):
+    m = random_orthogonal(dim, 3)
     res = gauge_invariance_probe(m)
     assert not res.passed
     assert res.max_deviation > 1e-6
@@ -280,6 +311,13 @@ def test_probe_deterministic_and_validates():
     assert a.witness_shift == b.witness_shift
     with pytest.raises(ValidationError):
         gauge_invariance_probe(random_orthogonal(2, 0))
+    # a probe that samples nothing proves nothing
+    for bad in ({"states": []}, {"n_states": 0}, {"chi0s": []}, {"n_shifts": 0},
+                {"chi0s": [math.nan]}, {"chi0s": [0.5, math.inf]}):
+        with pytest.raises(ValidationError):
+            gauge_invariance_probe(m, **bad)
+    with pytest.raises(DimensionMismatch):
+        gauge_invariance_probe(m, states=[random_real_state(6, 0)])
 
 
 def test_probe_accepts_explicit_states_and_shifts():
