@@ -185,15 +185,19 @@ def run_metric_check(cfg: RunConfig) -> Report:
         orders[n] = order
         report.checks.append(check_ge(f"kl_fisher_order_n{n}", order, 2.7, ov))
 
+    # a sphere tangent dq at q moves the events P = q^2 by 2 q dq; the
+    # information metric there must equal the Euclidean form |dq|^2
     dim = 2 * cfg.n
     worst_pullback = 0.0
     for _ in range(cfg.tangents):
-        big_p = _interior_dist(rng, dim)
-        d_raw = _centered_direction(rng, dim) * 1e-3
+        state = statespace.random_real_state(dim, rng)
+        dq = rng.uniform(-1.0, 1.0, size=dim)
+        dq -= (dq @ state.q) * state.q
+        dq *= 1e-3
+        events = statespace.state_event_probs(state)
         fisher_form = simplex.fisher_quadratic(
-            simplex.ProbDist(big_p), simplex.TangentVec(d_raw)
+            simplex.ProbDist(events.event_probs), simplex.TangentVec(2.0 * state.q * dq)
         )
-        dq = d_raw / (2.0 * np.sqrt(big_p))
         worst_pullback = max(worst_pullback, abs(fisher_form - float(dq @ dq)))
     report.checks.append(check_le("event_metric_pullback_max", worst_pullback, 1e-10, ov))
 

@@ -244,10 +244,15 @@ def gauge_invariance_probe(
     i, k = np.unravel_index(devs.argmax(), devs.shape)
     worst = float(devs[i, k])
     passed = worst <= tol
+    witness = None
+    if not passed:
+        # a read-only copy, like RealState.q, not a view into the work array
+        witness = qs[i].copy()
+        witness.flags.writeable = False
     return ProbeResult(
         passed=passed,
         max_deviation=worst,
-        witness_state=None if passed else qs[i],
+        witness_state=witness,
         witness_shift=None if passed else float(chi0s[k]),
     )
 

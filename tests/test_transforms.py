@@ -291,6 +291,7 @@ def test_probe_fails_for_generic_orthogonal_with_witness(dim):
     assert not res.passed
     assert res.max_deviation > 1e-6
     assert res.witness_state is not None and res.witness_shift is not None
+    assert not res.witness_state.flags.writeable
     # replay the recorded witness: the shift must actually move the outcome
     # probabilities of the transformed state
     state = RealState(res.witness_state)
