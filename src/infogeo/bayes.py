@@ -111,14 +111,8 @@ def exact_posterior(exp: CoinExperiment, counts) -> PosteriorReport:
     log_b = math.log(1.0 - exp.prior_a) + _log_weight(exp.p2.probs, arr)
     if math.isinf(log_a) and math.isinf(log_b):
         raise ZeroLikelihoodBoth("counts are impossible under both coins")
-    if math.isinf(log_a):
-        return PosteriorReport(0.0, 1.0, -math.inf)
-    if math.isinf(log_b):
-        return PosteriorReport(1.0, 0.0, math.inf)
-    # softmax of two finite log weights
-    m = max(log_a, log_b)
-    wa, wb = math.exp(log_a - m), math.exp(log_b - m)
-    post_a = wa / (wa + wb)
+    # the log weights carry the prior already; a prior of 1/2 adds exactly 0
+    post_a = _posterior_from_log_ratio(log_a - log_b, 0.5)
     return PosteriorReport(post_a, 1.0 - post_a, log_a - log_b)
 
 
@@ -190,6 +184,8 @@ def monte_carlo_gain(
     """
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    if exp.n > np.iinfo(np.int64).max:
+        raise ValidationError(f"{exp.n} tosses exceed the sampler's limit of 2**63 - 1")
     children = np.random.SeedSequence(seed).spawn(trials)
     base = u(0.5, 0.5)
     gains = np.empty(trials)

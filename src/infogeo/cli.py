@@ -56,6 +56,8 @@ class RunConfig:
             raise ValidationError("--budget, --pairs, --draws, --tangents must be positive")
         if not 0.0 < self.delta < 1.0 / self.n:
             raise ValidationError("--delta must lie in (0, 1/n)")
+        if 1.0 / self.n + self.delta == 1.0 / self.n:
+            raise ValidationError("--delta is too small to move 1/n: the two coins coincide")
         if self.format not in ("json", "csv"):
             raise ValidationError("--format must be json or csv")
         needs_seed = self.command in _STOCHASTIC_ALWAYS or (

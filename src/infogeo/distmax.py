@@ -1,26 +1,28 @@
 """Maximal statistical distinguishability of two states over measurements.
 
 For complex states u, v and a measurement with unitary stage W, the outcome
-distributions have statistical distance
+distributions have statistical distance d_S(W), defined by
 
-    d_S(W) = arccos( sum_i |(W u)_i| * |(W v)_i| ),
+    cos d_S(W) = sum_i |(W u)_i| * |(W v)_i|,
 
-and the supremum over measurements equals the Hilbert-space angle
-
-    d_H = arccos |u^dagger v|.
+and the supremum over measurements equals the Hilbert-space angle d_H,
+cos d_H = |u^dagger v|.  Each angle is computed as 2 atan2(|x - y|, |x + y|)
+by simplex._angle_between (x = |W u|, y = |W v| for d_S), which keeps full
+precision as the angle tends to 0.
 
 The maximizer below performs derivative-free multi-start search over a
 surjective parameterization of the unitary group, U = D M with D a diagonal
 of output phases and M = G_1 ... G_m a QR-style ladder of complex plane
-rotations, with coordinate-wise step-halving refinement.  Since
-|(D M a)_i| = |(M a)_i|, the phases cannot change d_S: the search sweeps the
-2m rotation coordinates only and the phases keep their random start values.
-A sweep is incremental.  One backward pass builds the suffixes
-G_{r+1} ... G_m [u v]; a prefix P = G_1 ... G_{r-1} grows by one two-column
-update per rotation; a candidate value of rotation r changes only two rows
-of G_r G_{r+1} ... G_m [u v], so it costs O(n) instead of m full products.
-A Haar-sampling certifier provides an independent stochastic lower envelope
-of the same supremum.
+rotations, with coordinate-wise step-halving refinement.  It minimizes the
+overlap, which falls as d_S grows; only the reported maximum becomes an
+angle.  Since |(D M a)_i| = |(M a)_i|, the phases cannot change d_S: the
+search sweeps the 2m rotation coordinates only and the phases keep their
+random start values.  A sweep is incremental.  One backward pass builds the
+suffixes G_{r+1} ... G_m [u v]; a prefix P = G_1 ... G_{r-1} grows by one
+two-column update per rotation; a candidate value of rotation r changes only
+two rows of G_r G_{r+1} ... G_m [u v], so it costs O(n) instead of m full
+products.  A Haar-sampling certifier provides an independent stochastic
+lower envelope of the same supremum.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ _MIN_STEP = 1e-8
 
 
 def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
-    """Hilbert-space angle arccos |u^dagger v|, in [0, pi/2].
+    """Hilbert-space angle d_H, cos d_H = |u^dagger v|, in [0, pi/2].
 
     Computed as 2 atan2(|u - w|, |u + w|), where w is v times the phase that
-    makes u^dagger w = |u^dagger v|.  Unlike arccos, which loses half the
-    digits near 0, the error stays near 1e-16 absolute as the angle tends to
-    0, and is relative when that phase is exact (u^dagger v real).
+    makes u^dagger w = |u^dagger v|.  Unlike the inverse cosine, which loses
+    half the digits near 0, the error stays near 1e-16 absolute as the angle
+    tends to 0, and is relative when that phase is exact (u^dagger v real).
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
@@ -106,13 +108,8 @@ def unitary_from_params(params: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distance_after(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    overlap = float(np.sum(np.abs(w @ a) * np.abs(w @ b)))
-    return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
-
-
-def _angle(overlap: float) -> float:
-    # overlap is a sum of moduli, so only the upper clamp can bind
-    return math.acos(min(overlap, 1.0))
+    x, y = np.abs(w @ a), np.abs(w @ b)
+    return _angle_between(x - y, x + y)
 
 
 def _rotation(theta: float, zeta: float) -> tuple[float, complex]:
@@ -138,7 +135,7 @@ def _suffixes(ab: np.ndarray, rot: list[float]) -> list[np.ndarray]:
 
 
 def _sweep(ab: np.ndarray, rot: list[float], step: float):
-    """Yield (k, candidate rot[k], distance) for every candidate of one sweep.
+    """Yield (k, candidate rot[k], overlap) for every candidate of one sweep.
 
     rot holds (theta, zeta) per rotation of the ladder.  Candidates come in
     search order: each coordinate +step, then -step, both taken from the
@@ -171,24 +168,24 @@ def _sweep(ab: np.ndarray, rot: list[float], step: float):
                 else:
                     c, e = _rotation(rot[k - 1], cand)
                 mod = np.abs(np.dot(np.array((1.0, c, e, -e.conjugate())), flat))
-                yield k, cand, _angle(float(np.dot(mod[:n], mod[n:])))
+                yield k, cand, float(np.dot(mod[:n], mod[n:]))
         c, e = _rotation(rot[2 * r], rot[2 * r + 1])
         p[:, i] = c * pij[:, 0] + e * pij[:, 1]
         p[:, j] = c * pij[:, 1] - e.conjugate() * pij[:, 0]
 
 
 def _refine(ab: np.ndarray, rot: list[float], step: float) -> tuple[float, int]:
-    # Coordinate-wise greedy ascent over rot (updated in place); halve the
-    # step after any sweep with no improvement, stop below 1e-8.  Returns the
-    # best distance and the number of objective evaluations.
+    # Coordinate-wise greedy descent of the overlap over rot (updated in
+    # place); halve the step after any sweep with no improvement, stop below
+    # 1e-8.  Returns the best overlap and the number of objective evaluations.
     mod = np.abs(_suffixes(ab, rot)[0])
-    best = _angle(float(np.dot(mod[:, 0], mod[:, 1])))
+    best = float(np.dot(mod[:, 0], mod[:, 1]))
     evaluations = 1
     while step >= _MIN_STEP:
         improved = False
         for k, cand, val in _sweep(ab, rot, step):
             evaluations += 1
-            if val > best:
+            if val < best:
                 rot[k], best, improved = cand, val, True
         if not improved:
             step *= 0.5
@@ -221,7 +218,7 @@ def maximize_statistical_distance(
     ab = np.stack((a, b), axis=1)
 
     children = np.random.SeedSequence(seed).spawn(budget)
-    best_val = -1.0
+    best_val = math.inf
     best_params: np.ndarray | None = None
     evaluations = 0
     for child in children:
@@ -230,7 +227,7 @@ def maximize_statistical_distance(
         rot = start[n:].tolist()
         val, count = _refine(ab, rot, step=0.5)
         evaluations += count
-        if val > best_val:
+        if val < best_val:
             best_val = val
             best_params = np.concatenate((start[:n], rot))
 
@@ -268,6 +265,8 @@ def certify_upper_bound(
         chunk = min(remaining, 4096)
         remaining -= chunk
         q = _haar(rng, u.n, (chunk,), complex_=True)
-        overlaps = np.sum(np.abs(q @ u.v) * np.abs(q @ v.v), axis=1)
-        best = max(best, float(np.arccos(np.clip(overlaps.min(), 0.0, 1.0))))
+        x, y = np.abs(q @ u.v), np.abs(q @ v.v)
+        # rank by tan(d/2) = |x - y| / |x + y|: close states' overlaps all round to 1
+        k = int(np.argmax(np.linalg.norm(x - y, axis=1) / np.linalg.norm(x + y, axis=1)))
+        best = max(best, _angle_between(x[k] - y[k], x[k] + y[k]))
     return best

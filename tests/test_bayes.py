@@ -269,3 +269,11 @@ def test_monte_carlo_rejects_bad_trials():
     exp = CoinExperiment(HALF, SKEW, 5)
     with pytest.raises(ValidationError):
         monte_carlo_gain(exp, trials=0, seed=1)
+
+
+def test_monte_carlo_rejects_toss_counts_beyond_the_sampler():
+    # n is a count, so nothing of that size is allocated
+    with pytest.raises(ValidationError, match="2\\*\\*63"):
+        monte_carlo_gain(CoinExperiment(HALF, SKEW, 2**63), trials=1, seed=1)
+    summary = monte_carlo_gain(CoinExperiment(HALF, SKEW, 2**63 - 1), trials=2, seed=1)
+    assert summary.mean_post_a == 1.0

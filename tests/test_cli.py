@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infogeo import (
     RealState,
@@ -41,6 +45,8 @@ def test_config_validation_rules():
         RunConfig("metric-check", n=1, seed=1).validate()
     with pytest.raises(ValidationError):
         RunConfig("metric-check", seed=1, delta=0.5).validate()  # >= 1/n
+    with pytest.raises(ValidationError):
+        RunConfig("metric-check", seed=1, delta=1e-17).validate()  # 1/n + delta == 1/n
     with pytest.raises(ValidationError):
         RunConfig("metric-check", seed=1, format="yaml").validate()
     with pytest.raises(ValidationError):
@@ -133,6 +139,47 @@ def test_unknown_override_name_exits_two_without_report(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("config error:") and "no_such_check" in err
     assert "equal_coins_exact_gain" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--delta", "1e-150"], 2),  # 1/n + delta == 1/n: the coins coincide
+        (["--delta", "1e-11", "--trials", "10"], 2),  # Monte Carlo needs 2e20 tosses
+        (["--delta", "1e-12", "--trials", "0"], 0),  # no Monte Carlo, no sampler limit
+    ],
+    ids=["delta-1e-150", "delta-1e-11", "delta-1e-12-no-trials"],
+)
+def test_tiny_coin_offset_exit_codes(argv, expected, capsys):
+    code, out, err = run(["coin-distinguish", "--seed", "1", *argv], capsys)
+    assert code == expected
+    if expected == 2:
+        assert out == "" and err.startswith("config error:")
+    else:
+        assert json.loads(out)["overall_passed"] is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["coin-distinguish", "born-check"]),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([5e-324, 1e-300, 1e-150, 1e-17]),
+    trials=st.integers(0, 40),
+    shots=st.integers(0, 1000),
+)
+def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
+    argv = [command, "--n", str(n), "--seed", str(seed), "--delta", repr(f / n),
+            "--trials", str(trials), "--shots", str(shots)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("config error:")
+    else:
+        assert json.loads(out.getvalue())["command"] == command
 
 
 def test_parser_leaves_defaults_to_run_config():
