@@ -68,13 +68,19 @@ class PosteriorReport:
     log_ratio: float
 
 
-def _log_weight(probs: np.ndarray, counts: np.ndarray) -> float:
-    """ln prod_i probs_i^{counts_i}; -inf when an observed outcome has
-    probability zero.  Accepts real-valued counts (continuous extension)."""
-    observed = counts > 0
-    if np.any(probs[observed] == 0.0):
-        return -math.inf
-    return float(np.sum(counts[observed] * np.log(probs[observed])))
+def _log_weight(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ln prod_i probs_i^{counts_i} over the last axis of counts (real-valued counts
+    allowed: continuous extension); -inf where an observed outcome has probability 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(counts > 0, counts * np.log(probs), 0.0).sum(axis=-1)
+
+
+def _log_odds(exp: CoinExperiment, counts: np.ndarray) -> np.ndarray:
+    """ln(prior_a w_a) - ln((1 - prior_a) w_b) over the last axis; nan if w_a = w_b = 0."""
+    log_a = math.log(exp.prior_a) + _log_weight(exp.p.probs, counts)
+    log_b = math.log(1.0 - exp.prior_a) + _log_weight(exp.p2.probs, counts)
+    with np.errstate(invalid="ignore"):
+        return log_a - log_b
 
 
 def log_likelihood_ratio(exp: CoinExperiment, counts) -> float:
@@ -88,7 +94,7 @@ def log_likelihood_ratio(exp: CoinExperiment, counts) -> float:
         raise DimensionMismatch(f"need {exp.p.n} counts, got shape {arr.shape}")
     if np.any(arr < 0.0):
         raise ValidationError("counts must be nonnegative")
-    return _log_weight(exp.p.probs, arr) - _log_weight(exp.p2.probs, arr)
+    return float(_log_weight(exp.p.probs, arr)) - float(_log_weight(exp.p2.probs, arr))
 
 
 def exact_posterior(exp: CoinExperiment, counts) -> PosteriorReport:
@@ -105,15 +111,11 @@ def exact_posterior(exp: CoinExperiment, counts) -> PosteriorReport:
         raise ValidationError("counts must be nonnegative")
     if int(arr.sum()) != exp.n:
         raise ValidationError(f"counts sum to {int(arr.sum())}, expected n = {exp.n}")
-    arr = arr.astype(float)
-
-    log_a = math.log(exp.prior_a) + _log_weight(exp.p.probs, arr)
-    log_b = math.log(1.0 - exp.prior_a) + _log_weight(exp.p2.probs, arr)
-    if math.isinf(log_a) and math.isinf(log_b):
+    log_ratio = float(_log_odds(exp, arr))
+    if math.isnan(log_ratio):
         raise ZeroLikelihoodBoth("counts are impossible under both coins")
-    # the log weights carry the prior already; a prior of 1/2 adds exactly 0
-    post_a = _posterior_from_log_ratio(log_a - log_b, 0.5)
-    return PosteriorReport(post_a, 1.0 - post_a, log_a - log_b)
+    post_a = _posterior_from_log_ratio(log_ratio)
+    return PosteriorReport(post_a, 1.0 - post_a, log_ratio)
 
 
 def expected_log_ratio(exp: CoinExperiment) -> float:
@@ -128,9 +130,8 @@ def expansion_log_ratio(exp: CoinExperiment) -> float:
     return 2.0 * exp.n * fisher_quadratic(exp.p, dp)
 
 
-def _posterior_from_log_ratio(log_ratio: float, prior_a: float) -> float:
-    # post_a for posterior ratio exp(log_ratio) * prior_a / (1 - prior_a)
-    z = log_ratio + math.log(prior_a / (1.0 - prior_a))
+def _posterior_from_log_ratio(z: float) -> float:
+    # post_a for the posterior log odds z = ln(post_a / post_b)
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
@@ -140,14 +141,14 @@ def _posterior_from_log_ratio(log_ratio: float, prior_a: float) -> float:
 def info_gain_exact(exp: CoinExperiment, u: EntropyFn = shannon_entropy) -> float:
     """Uncertainty drop U(1/2,1/2) - U(post) at the small-signal posterior
     ratio exp(2 n ds^2).  Nonnegative for any admissible U."""
-    post_a = _posterior_from_log_ratio(expansion_log_ratio(exp), exp.prior_a)
+    log_odds = expansion_log_ratio(exp) + math.log(exp.prior_a / (1.0 - exp.prior_a))
+    post_a = _posterior_from_log_ratio(log_odds)
     return u(0.5, 0.5) - u(post_a, 1.0 - post_a)
 
 
 def info_gain_approx(exp: CoinExperiment) -> float:
     """Leading-order Shannon gain (n * ds^2)^2 / 2."""
-    dp = TangentVec(exp.p2.probs - exp.p.probs)
-    x = exp.n * fisher_quadratic(exp.p, dp)
+    x = 0.5 * expansion_log_ratio(exp)
     return 0.5 * x * x
 
 
@@ -186,16 +187,15 @@ def monte_carlo_gain(
         raise ValidationError("trials must be positive")
     if exp.n > np.iinfo(np.int64).max:
         raise ValidationError(f"{exp.n} tosses exceed the sampler's limit of 2**63 - 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
+    counts = np.empty((trials, exp.p.n), dtype=np.int64)
+    for t in range(trials):  # substream t equals SeedSequence(seed).spawn(trials)[t]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        counts[t] = rng.multinomial(exp.n, exp.p.probs)
     base = u(0.5, 0.5)
-    gains = np.empty(trials)
-    posts = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(children[t]))
-        counts = rng.multinomial(exp.n, exp.p.probs)
-        rep = exact_posterior(exp, counts)
-        gains[t] = base - u(rep.post_a, rep.post_b)
-        posts[t] = rep.post_a
+    gains, posts = np.empty(trials), np.empty(trials)
+    for t, log_ratio in enumerate(_log_odds(exp, counts).tolist()):
+        posts[t] = post_a = _posterior_from_log_ratio(log_ratio)
+        gains[t] = base - u(post_a, 1.0 - post_a)
     mean_gain = float(gains.mean())
     stderr_gain = float(gains.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     mean_post = float(posts.mean())

@@ -50,6 +50,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise ValidationError("--n must be at least 2")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError("--seed must be nonnegative")
         if self.trials < 0 or self.shots < 0:
             raise ValidationError("--trials and --shots must be nonnegative")
         if self.budget < 1 or self.pairs < 1 or self.draws < 1 or self.tangents < 1:
@@ -620,11 +622,14 @@ def _tol_override(text: str) -> tuple[str, float]:
             f"expected NAME=VALUE for --tol-override, got {text!r}"
         )
     try:
-        return name, float(value)
+        tol = float(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"tolerance value in {text!r} is not a number"
         ) from exc
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"tolerance value in {text!r} is not finite")
+    return name, tol
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -128,6 +128,8 @@ def sample_outcomes(meas: Measurement, v: ComplexState, shots: int, seed: int) -
     """
     if shots < 0:
         raise ValidationError("shots must be nonnegative")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"{shots} shots exceed the sampler's limit of 2**63 - 1")
     dist = outcome_distribution(meas, v)
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, dist.probs / dist.probs.sum())

@@ -3,21 +3,18 @@
 Each test exercises one acceptance criterion at its stated tolerance and
 emits a single human-readable pass/fail line (replayed after the run by the
 terminal-summary hook in conftest).  Stochastic criteria run at fixed,
-recorded seeds.  Criteria 1-8 read the check rows of the CLI batteries that
-define them, each run once at seed SEED and an outcome dimension n named by
-the criterion, with the other options at their defaults; the criteria
-assert their own bounds on those rows.  Criterion 9 keeps its own loop:
-its per-pair time limit of 10 s is not a value any battery reports.
+recorded seeds.  Every criterion reads the check rows of the CLI batteries
+that define it, each run once at seed SEED and an outcome dimension n named
+by the criterion, with the other options at their defaults; the criteria
+assert their own bounds on those rows.  Criterion 9 also times every
+optimized pair of its `wootters` runs, because its per-pair limit of 10 s
+is not a value the battery reports.
 """
 
 import functools
-import math
 import time
 
-import numpy as np
-
-import infogeo as ig
-from infogeo import cli
+from infogeo import cli, distmax
 from conftest import record_criterion
 
 SEED = 20260814
@@ -209,44 +206,36 @@ def test_criterion_8_measure_invariance():
     _run(8, "only affine angle maps keep the outcome measure uniform", body)
 
 
-def test_criterion_9_distance_envelope_and_maximum():
+def test_criterion_9_distance_envelope_and_maximum(monkeypatch):
+    pair_seconds = []
+    maximize = distmax.maximize_statistical_distance
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        result = maximize(*args, **kwargs)
+        pair_seconds.append(time.perf_counter() - started)
+        return result
+
     def body():
-        rng = np.random.default_rng(SEED)
-        worst_gap = {2: 0.0, 3: 0.0}
-        slowest = 0.0
-        for n, bound in ((2, 1e-3), (3, 5e-3)):
-            for _ in range(20):
-                u = ig.random_complex_state(n, rng)
-                v = ig.random_complex_state(n, rng)
-                started = time.perf_counter()
-                res = ig.maximize_statistical_distance(
-                    u, v, budget=10, seed=int(rng.integers(2**62))
-                )
-                slowest = max(slowest, time.perf_counter() - started)
-                worst_gap[n] = max(worst_gap[n], res.gap)
-
-        envelope = -math.inf
-        for k in range(1000):
-            n = (2, 3)[k % 2]
-            u = ig.random_complex_state(n, rng)
-            v = ig.random_complex_state(n, rng)
-            meas = ig.Measurement(ig.random_unitary(n, int(rng.integers(2**62))))
-            ds = ig.statistical_distance(
-                ig.outcome_distribution(meas, u), ig.outcome_distribution(meas, v)
-            )
-            envelope = max(envelope, ds - ig.hilbert_distance(u, v))
-
+        # uncached, so every optimized pair of these two runs is timed
+        monkeypatch.setattr(distmax, "maximize_statistical_distance", timed)
+        rows = {n: _battery.__wrapped__("wootters", n)[0] for n in (2, 3)}
+        gaps = {n: c["max_gap"] for n, c in rows.items()}
+        envelope = max(c["envelope_max_violation"] for c in rows.values())
+        slowest = max(pair_seconds)
         ok = (
-            worst_gap[2] <= 1e-3
-            and worst_gap[3] <= 5e-3
+            gaps[2] <= 1e-3
+            and gaps[3] <= 5e-3
+            and len(pair_seconds) == 40
             and slowest < 10.0
             and envelope <= 1e-9
         )
         detail = (
             f"20 pairs per dimension: max |max distance - state angle| "
-            f"{worst_gap[2]:.2e} at N=2 (limit 1e-3), {worst_gap[3]:.2e} at N=3 "
-            f"(limit 5e-3); slowest pair {slowest:.2f} s (limit 10 s); "
-            f"envelope excess over 1000 triples {envelope:.2e} (limit 1e-9)"
+            f"{gaps[2]:.2e} at N=2 (limit 1e-3), {gaps[3]:.2e} at N=3 "
+            f"(limit 5e-3); slowest of {len(pair_seconds)} pairs {slowest:.2f} s "
+            f"(limit 10 s); envelope excess over 1000 triples per dimension "
+            f"{envelope:.2e} (limit 1e-9)"
         )
         return ok, detail
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from infogeo import (
     CoinExperiment,
     DimensionMismatch,
+    MonteCarloSummary,
     ProbDist,
     ValidationError,
     ZeroLikelihoodBoth,
@@ -126,6 +127,8 @@ def test_log_likelihood_ratio_validation():
         log_likelihood_ratio(exp, [-1.0, 3.0])
     with pytest.raises(DimensionMismatch):
         log_likelihood_ratio(exp, [1.0, 0.5, 0.5])
+    with pytest.raises(DimensionMismatch):  # one dataset per call, not a batch
+        log_likelihood_ratio(exp, [[2.0, 0.0], [1.0, 1.0]])
 
 
 def test_expected_log_ratio_frozen():
@@ -277,3 +280,56 @@ def test_monte_carlo_rejects_toss_counts_beyond_the_sampler():
         monte_carlo_gain(CoinExperiment(HALF, SKEW, 2**63), trials=1, seed=1)
     summary = monte_carlo_gain(CoinExperiment(HALF, SKEW, 2**63 - 1), trials=2, seed=1)
     assert summary.mean_post_a == 1.0
+
+
+def _python_float_entropy(pi_a, pi_b):
+    assert type(pi_a) is float and type(pi_b) is float
+    return shannon_entropy(pi_a, pi_b)
+
+
+def _per_trial_reference(exp: CoinExperiment, trials: int, seed: int, u):
+    # one spawned substream and one validated exact_posterior call per trial,
+    # summarized with the same statistics as monte_carlo_gain
+    children = np.random.SeedSequence(seed).spawn(trials)
+    base = u(0.5, 0.5)
+    gains, posts, log_ratios = np.empty(trials), np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(children[t]))
+        rep = exact_posterior(exp, rng.multinomial(exp.n, exp.p.probs))
+        gains[t] = base - u(rep.post_a, rep.post_b)
+        posts[t] = rep.post_a
+        log_ratios[t] = rep.log_ratio
+    mean_post = float(posts.mean())
+    stderr_post = float(posts.std(ddof=1) / math.sqrt(trials))
+    lo, hi = max(mean_post - 1e-6, 0.0), min(mean_post + 1e-6, 1.0)
+    slope = abs(u(hi, 1.0 - hi) - u(lo, 1.0 - lo)) / (hi - lo)
+    summary = MonteCarloSummary(
+        trials=trials,
+        seed=seed,
+        mean_gain=float(gains.mean()),
+        stderr_gain=float(gains.std(ddof=1) / math.sqrt(trials)),
+        mean_post_a=mean_post,
+        stderr_post_a=stderr_post,
+        gain_at_mean_posterior=base - u(mean_post, 1.0 - mean_post),
+        stderr_gain_at_mean_posterior=slope * stderr_post,
+    )
+    return summary, log_ratios
+
+
+@pytest.mark.parametrize(
+    "p, p2, tosses, prior_a",
+    [
+        ([0.5, 0.5], [0.505, 0.495], 800, 0.5),
+        ([0.6, 0.4], [0.5, 0.5], 30, 0.3),
+        ([1 / 3] * 3, [1 / 3 + 0.01, 1 / 3, 1 / 3 - 0.01], 200, 0.5),
+        ([0.3, 0.1, 0.2, 0.15, 0.25], [0.2, 0.2, 0.2, 0.2, 0.2], 12, 0.5),
+        ([0.5, 0.3, 0.2], [0.6, 0.4, 0.0], 3, 0.5),  # outcome 2 rules out coin 2
+    ],
+    ids=["n2", "n2-prior-0.3", "n3", "n5-zero-counts", "n3-p2-zero"],
+)
+def test_monte_carlo_matches_per_trial_exact_posterior(p, p2, tosses, prior_a):
+    exp = CoinExperiment(ProbDist(p), ProbDist(p2), tosses, prior_a=prior_a)
+    expected, log_ratios = _per_trial_reference(exp, 500, 17, _python_float_entropy)
+    assert monte_carlo_gain(exp, trials=500, seed=17, u=_python_float_entropy) == expected
+    if p2[-1] == 0.0:
+        assert np.any(log_ratios == math.inf)

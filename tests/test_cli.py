@@ -53,6 +53,8 @@ def test_config_validation_rules():
         RunConfig("metric-check", seed=1, budget=0).validate()
     with pytest.raises(ValidationError):
         RunConfig("metric-check", seed=1, trials=-1).validate()
+    with pytest.raises(ValidationError, match="--seed"):
+        RunConfig("metric-check", seed=-1).validate()
 
 
 def test_seed_requirement():
@@ -86,6 +88,12 @@ def test_parser_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["no-such-command"])
     assert exc.value.code == 2
+    for value in ("inf", "-inf", "nan"):  # a report could not hold it as JSON
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["coin-distinguish", "--tol-override", f"equal_coins_exact_gain={value}"]
+            )
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +171,11 @@ def test_tiny_coin_offset_exit_codes(argv, expected, capsys):
 @given(
     command=st.sampled_from(["coin-distinguish", "born-check"]),
     n=st.integers(2, 6),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1) | st.integers(-(2**63), -1),
     f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     | st.sampled_from([5e-324, 1e-300, 1e-150, 1e-17]),
     trials=st.integers(0, 40),
-    shots=st.integers(0, 1000),
+    shots=st.integers(0, 1000) | st.just(2**63),
 )
 def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
     argv = [command, "--n", str(n), "--seed", str(seed), "--delta", repr(f / n),

@@ -161,6 +161,9 @@ def test_sample_outcomes_deterministic_and_complete():
     assert int(counts.sum()) == 10_000
     with pytest.raises(ValidationError):
         sample_outcomes(meas, v, -1, seed=1)
+    # beyond the sampler's limit; shots is a count, so nothing is allocated
+    with pytest.raises(ValidationError, match="2\\*\\*63"):
+        sample_outcomes(meas, v, 2**63, seed=1)
 
 
 def test_sample_outcomes_match_born_within_three_sigma():
