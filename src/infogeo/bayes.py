@@ -87,14 +87,20 @@ def log_likelihood_ratio(exp: CoinExperiment, counts) -> float:
     """ln of the likelihood ratio (coin 1 over coin 2) at the given counts.
 
     Counts may be real-valued; at counts_i = n * p_i this equals
-    expected_log_ratio(exp) exactly.
+    expected_log_ratio(exp) exactly.  Raises ZeroLikelihoodBoth when the
+    counts are impossible under both coins.
     """
     arr = np.asarray(counts, dtype=float)
     if arr.shape != (exp.p.n,):
         raise DimensionMismatch(f"need {exp.p.n} counts, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("counts must be finite")
     if np.any(arr < 0.0):
         raise ValidationError("counts must be nonnegative")
-    return float(_log_weight(exp.p.probs, arr)) - float(_log_weight(exp.p2.probs, arr))
+    log_ratio = float(_log_weight(exp.p.probs, arr)) - float(_log_weight(exp.p2.probs, arr))
+    if math.isnan(log_ratio):
+        raise ZeroLikelihoodBoth("counts are impossible under both coins")
+    return log_ratio
 
 
 def exact_posterior(exp: CoinExperiment, counts) -> PosteriorReport:

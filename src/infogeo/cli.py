@@ -30,6 +30,28 @@ from .reporting import (
 
 _STOCHASTIC_ALWAYS = {"metric-check", "correspondence", "born-check", "wootters", "all"}
 
+# Size caps, checked before a battery allocates anything, so a huge value exits
+# 2 instead of ending in a MemoryError.  Each keeps the largest run it allows
+# under ~0.5 GB of traced allocations, with the other options at their caps:
+# per-unit peaks were measured with tracemalloc (NumPy 2.4, x86-64) at 2000-
+# 20000 tangents or trials, 200 pairs and 1000 restarts, and scaled linearly.
+SIZE_CAPS = {
+    # correspondence keeps 200 maps of (2n)^2 floats: ~7 kB * n^2, 30 MB at 64
+    "n": 64,
+    # (trials, n) counts and the posterior pass's temporaries: ~1.6 kB per
+    # trial at n = 64, ~0.4 GB at the cap
+    "trials": 250_000,
+    # metric-check's rows: ~7 kB per tangent at n = 64, ~0.35 GB at the cap
+    "tangents": 50_000,
+    # wootters keeps one table row per pair: ~4.7 kB each, ~0.24 GB at the cap
+    "pairs": 50_000,
+    # one spawned SeedSequence per restart: 376 B each, 38 MB at the cap
+    "budget": 100_000,
+    # a draw is one loop step and memory stays flat (0.2-0.8 MB traced at
+    # 2000-5000 draws); the cap bounds the time, ~1 h of correspondence draws
+    "draws": 1_000_000,
+}
+
 
 @dataclass
 class RunConfig:
@@ -56,6 +78,9 @@ class RunConfig:
             raise ValidationError("--trials and --shots must be nonnegative")
         if self.budget < 1 or self.pairs < 1 or self.draws < 1 or self.tangents < 1:
             raise ValidationError("--budget, --pairs, --draws, --tangents must be positive")
+        for name, cap in SIZE_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ValidationError(f"--{name} must be at most {cap}")
         if not 0.0 < self.delta < 1.0 / self.n:
             raise ValidationError("--delta must lie in (0, 1/n)")
         if 1.0 / self.n + self.delta == 1.0 / self.n:
@@ -148,20 +173,57 @@ def run_coin_distinguish(cfg: RunConfig) -> Report:
     return report
 
 
-def _interior_dist(rng: np.random.Generator, n: int) -> np.ndarray:
-    # entries bounded away from 0 so epsilon-steps up to 1e-2 stay inside
-    w = rng.uniform(0.1, 1.0, size=n)
-    return w / w.sum()
+def _interior_dist(u: np.ndarray) -> np.ndarray:
+    # rows of rng.uniform(0.1, 1.0) weights made from rng.random() draws, then
+    # normalized: entries bounded away from 0 so epsilon-steps up to 1e-2 stay inside
+    w = 0.1 + 0.9 * u
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _centered_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    d = rng.uniform(-1.0, 1.0, size=n)
-    d -= d.mean()
-    scale = np.abs(d).max()
-    if scale == 0.0:
-        d[0], d[-1] = 1.0, -1.0
-        scale = 1.0
-    return d / scale
+def _centered_direction(u: np.ndarray) -> np.ndarray:
+    # rows of rng.uniform(-1, 1) draws made from rng.random() draws, centered
+    # and scaled to max |entry| 1; an all-equal row becomes [1, 0, ..., 0, -1]
+    d = -1.0 + 2.0 * u
+    d -= d.mean(axis=-1, keepdims=True)
+    scale = np.abs(d).max(axis=-1, keepdims=True)
+    out = np.zeros(d.shape)
+    out[..., 0], out[..., -1] = 1.0, -1.0
+    return np.divide(d, scale, out=out, where=scale != 0.0)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[t] @ b[t] per row: matmul's vector case is the same dot as 1-D `@`
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _kl_fisher_errors(rng: np.random.Generator, n: int, tangents: int, epsilons) -> np.ndarray:
+    """Mean |KL(p, p + eps d) - 2 ds^2(eps d)| over random interior points p
+    and directions d, one entry per eps."""
+    # one row per tangent: n draws for the point, then n for the direction
+    u = rng.random((tangents, 2 * n))
+    p = _interior_dist(u[:, :n])
+    deltas = np.multiply.outer(epsilons, _centered_direction(u[:, n:]))
+    p2 = p + deltas
+    for rows, kind in ((p, "probs"), (deltas, "deltas"), (p2, "probs")):
+        simplex._check_rows(rows, kind)
+    err = np.abs(simplex._kl_rows(p, p2) - 2.0 * simplex._fisher_rows(p, deltas))
+    # summed tangent by tangent in draw order (cumsum), not pairwise (np.sum)
+    return np.cumsum(err, axis=1)[:, -1] / tangents
+
+
+def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
+    """Largest |ds^2 - |dq|^2| over random sphere points q in 2n dimensions and
+    tangents dq: a sphere tangent dq at q moves the events P = q^2 by 2 q dq,
+    and the information metric there must equal the Euclidean form."""
+    q, dq = np.empty((2, tangents, 2 * n))
+    for t in range(tangents):
+        q[t] = statespace.random_real_state(2 * n, rng).q
+        dq[t] = rng.uniform(-1.0, 1.0, size=2 * n)
+    dq = 1e-3 * (dq - _row_dots(dq, q)[:, None] * q)
+    events, moved = q**2, 2.0 * q * dq
+    simplex._check_rows(events, "probs")
+    simplex._check_rows(moved, "deltas")
+    return float(np.abs(simplex._fisher_rows(events, moved) - _row_dots(dq, dq)).max())
 
 
 def run_metric_check(cfg: RunConfig) -> Report:
@@ -172,37 +234,14 @@ def run_metric_check(cfg: RunConfig) -> Report:
 
     orders = {}
     for n in (2, 4, 8):
-        errs = np.zeros(len(epsilons))
-        for _ in range(cfg.tangents):
-            p = simplex.ProbDist(_interior_dist(rng, n))
-            direction = _centered_direction(rng, n)
-            for k, eps in enumerate(epsilons):
-                dp = simplex.TangentVec(eps * direction)
-                p2 = simplex.ProbDist(p.probs + eps * direction)
-                errs[k] += abs(
-                    simplex.kl_divergence(p, p2) - 2.0 * simplex.fisher_quadratic(p, dp)
-                )
-        errs /= cfg.tangents
+        errs = _kl_fisher_errors(rng, n, cfg.tangents, epsilons)
         order = min(
             math.log2(errs[k] / errs[k + 1]) for k in range(len(epsilons) - 1)
         )
         orders[n] = order
         report.checks.append(check_ge(f"kl_fisher_order_n{n}", order, 2.7, ov))
 
-    # a sphere tangent dq at q moves the events P = q^2 by 2 q dq; the
-    # information metric there must equal the Euclidean form |dq|^2
-    dim = 2 * cfg.n
-    worst_pullback = 0.0
-    for _ in range(cfg.tangents):
-        state = statespace.random_real_state(dim, rng)
-        dq = rng.uniform(-1.0, 1.0, size=dim)
-        dq -= (dq @ state.q) * state.q
-        dq *= 1e-3
-        events = statespace.state_event_probs(state)
-        fisher_form = simplex.fisher_quadratic(
-            simplex.ProbDist(events.event_probs), simplex.TangentVec(2.0 * state.q * dq)
-        )
-        worst_pullback = max(worst_pullback, abs(fisher_form - float(dq @ dq)))
+    worst_pullback = _worst_pullback(rng, cfg.n, cfg.tangents)
     report.checks.append(check_le("event_metric_pullback_max", worst_pullback, 1e-10, ov))
 
     worst_embed = 0.0
@@ -224,8 +263,8 @@ def run_metric_check(cfg: RunConfig) -> Report:
             - simplex.statistical_distance(a, b)
             - simplex.statistical_distance(b, c),
         )
-        p_in = simplex.ProbDist(_interior_dist(rng, cfg.n))
-        d1 = simplex.TangentVec(_centered_direction(rng, cfg.n) * 1e-3)
+        p_in = simplex.ProbDist(_interior_dist(rng.random(cfg.n)))
+        d1 = simplex.TangentVec(_centered_direction(rng.random(cfg.n)) * 1e-3)
         d2 = simplex.TangentVec(2.0 * d1.deltas)
         worst_scaling = max(
             worst_scaling,
@@ -242,10 +281,10 @@ def run_metric_check(cfg: RunConfig) -> Report:
             b=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
         ps = statespace.PolarState(
-            simplex.ProbDist(_interior_dist(rng, cfg.n)),
+            simplex.ProbDist(_interior_dist(rng.random(cfg.n))),
             rng.uniform(0.0, 2.0 * math.pi, size=cfg.n),
         )
-        dp = simplex.TangentVec(_centered_direction(rng, cfg.n))
+        dp = simplex.TangentVec(_centered_direction(rng.random(cfg.n)))
         dtheta = rng.uniform(-1.0, 1.0, size=cfg.n)
         dchi = rng.uniform(-1.0, 1.0, size=cfg.n)
         quad = statespace.polar_metric_quadratic(ps, dp, dtheta, gauge, dchi)

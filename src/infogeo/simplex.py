@@ -32,6 +32,35 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 
 
+def _check_rows(arr: np.ndarray, kind: str) -> None:
+    """Validate every row (last axis) of a (..., n) array in one pass: entries
+    finite, and each row summing to 1 within NORMALIZATION_TOL with entries
+    nonnegative (kind "probs": distributions) or summing to 0 (kind "deltas":
+    tangent directions)."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{kind} contains non-finite entries")
+    if kind == "probs" and (arr < 0.0).any():
+        raise ValidationError("probabilities must be nonnegative")
+    target = 1.0 if kind == "probs" else 0.0
+    sums = arr.sum(axis=-1)
+    off = np.abs(sums - target) > NORMALIZATION_TOL
+    if off.any():
+        raise ValidationError(
+            f"{kind} sum to {float(sums[off][0])!r}, not {target:g} within {NORMALIZATION_TOL}"
+        )
+
+
+def _readonly_row(values, kind: str) -> np.ndarray:
+    # the one row of a ProbDist, TangentVec or EventDist: a read-only copy
+    # with at least 2 entries that passes _check_rows
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValidationError(f"{kind} must be one row of >= 2 entries, got shape {arr.shape}")
+    _check_rows(arr, kind)
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_readonly_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -55,17 +84,7 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_float_array(self.probs, "probs")
-        if arr.size < 2:
-            raise ValidationError("a distribution needs at least 2 outcomes")
-        if np.any(arr < 0.0):
-            raise ValidationError("probabilities must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"probabilities sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
-            )
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _readonly_row(self.probs, "probs"))
 
     @classmethod
     def renormalized(cls, values) -> "ProbDist":
@@ -95,12 +114,7 @@ class TangentVec:
     deltas: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_float_array(self.deltas, "deltas")
-        if arr.size < 2:
-            raise ValidationError("a tangent vector needs at least 2 components")
-        if abs(arr.sum()) > NORMALIZATION_TOL:
-            raise ValidationError("tangent components must sum to 0 within 1e-12")
-        object.__setattr__(self, "deltas", arr)
+        object.__setattr__(self, "deltas", _readonly_row(self.deltas, "deltas"))
 
     @property
     def n(self) -> int:
@@ -112,14 +126,23 @@ def _check_same_dim(a_size: int, b_size: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a_size} vs {b_size}")
 
 
-def _moving(p: ProbDist, dp: TangentVec) -> np.ndarray:
-    # Mask of outcomes that dp moves; raises SingularMetric when one of them
-    # has zero probability, where the metric blows up.
-    _check_same_dim(p.n, dp.n)
-    moving = dp.deltas != 0.0
-    if np.any(moving & (p.probs == 0.0)):
+def _moving(probs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    # Mask of entries that deltas move, over the last axis; raises SingularMetric
+    # when one of them has zero probability, where the metric blows up.
+    _check_same_dim(probs.shape[-1], deltas.shape[-1])
+    moving = deltas != 0.0
+    if np.any(moving & (probs == 0.0)):
         raise SingularMetric("dp is nonzero on an outcome with zero probability")
     return moving
+
+
+def _fisher_rows(probs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """(1/4) sum_i deltas_i^2 / probs_i over the last axis of broadcastable
+    (..., n) arrays of rows already checked by _check_rows."""
+    moving = _moving(probs, deltas)
+    terms = np.zeros(np.broadcast_shapes(probs.shape, deltas.shape))
+    np.divide(deltas**2, probs, out=terms, where=moving)
+    return 0.25 * terms.sum(axis=-1)
 
 
 def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
@@ -129,10 +152,7 @@ def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
     dp_i != 0 where p_i = 0.  Terms with dp_i = 0 contribute nothing even
     at p_i = 0.
     """
-    moving = _moving(p, dp)
-    terms = np.zeros_like(p.probs)
-    np.divide(dp.deltas**2, p.probs, out=terms, where=moving)
-    return 0.25 * float(terms.sum())
+    return float(_fisher_rows(p.probs, dp.deltas))
 
 
 def _angle_between(diff: np.ndarray, total: np.ndarray) -> float:
@@ -162,19 +182,26 @@ def statistical_distance(p: ProbDist, p2: ProbDist) -> float:
     return _angle_between(diff, total)
 
 
+def _kl_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
+    """sum_i probs_i ln(probs_i / probs2_i) over the last axis of broadcastable
+    (..., n) arrays of rows already checked by _check_rows; terms with
+    probs_i = 0 are 0."""
+    _check_same_dim(probs.shape[-1], probs2.shape[-1])
+    support = probs > 0.0
+    if np.any(support & (probs2 == 0.0)):
+        raise AbsoluteContinuityViolation("p has mass where p2 vanishes")
+    ratio = np.ones(np.broadcast_shapes(probs.shape, probs2.shape))
+    np.divide(probs, probs2, out=ratio, where=support)
+    return (probs * np.log(ratio)).sum(axis=-1)
+
+
 def kl_divergence(p: ProbDist, p2: ProbDist) -> float:
     """KL divergence sum_i p_i ln(p_i / p2_i) in nats.
 
     Terms with p_i = 0 contribute 0.  Raises AbsoluteContinuityViolation if
     p puts mass on an outcome where p2 has none.
     """
-    _check_same_dim(p.n, p2.n)
-    support = p.probs > 0.0
-    if np.any(support & (p2.probs == 0.0)):
-        raise AbsoluteContinuityViolation("p has mass where p2 vanishes")
-    a = p.probs[support]
-    b = p2.probs[support]
-    return float(np.sum(a * np.log(a / b)))
+    return float(_kl_rows(p.probs, p2.probs))
 
 
 def sqrt_embed(p: ProbDist) -> np.ndarray:

@@ -41,6 +41,7 @@ from .simplex import (
     TangentVec,
     _as_readonly_float_array,
     _moving,
+    _readonly_row,
     fisher_quadratic,
 )
 
@@ -54,14 +55,7 @@ class EventDist:
     event_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_float_array(self.event_probs, "event_probs")
-        if arr.size < 2:
-            raise ValidationError("need at least 2 events")
-        if np.any(arr < 0.0):
-            raise ValidationError("event probabilities must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError("event probabilities must sum to 1 within 1e-12")
-        object.__setattr__(self, "event_probs", arr)
+        object.__setattr__(self, "event_probs", _readonly_row(self.event_probs, "probs"))
 
     def __len__(self) -> int:
         return int(self.event_probs.size)
@@ -260,7 +254,7 @@ def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarra
     dth = np.asarray(dtheta_total, dtype=float)
     if dth.shape != (n,):
         raise DimensionMismatch(f"dtheta_total must have shape ({n},)")
-    moving = _moving(ps.p, dp)
+    moving = _moving(ps.p.probs, dp.deltas)
     r = np.sqrt(ps.p.probs)
     dr = np.zeros(n)
     np.divide(dp.deltas, 2.0 * r, out=dr, where=moving)

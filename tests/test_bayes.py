@@ -131,6 +131,20 @@ def test_log_likelihood_ratio_validation():
         log_likelihood_ratio(exp, [[2.0, 0.0], [1.0, 1.0]])
 
 
+def test_log_likelihood_ratio_zero_likelihood_both():
+    # the same input on which exact_posterior raises
+    sure = ProbDist([1.0, 0.0])
+    with pytest.raises(ZeroLikelihoodBoth):
+        log_likelihood_ratio(CoinExperiment(sure, sure, 1), [0, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_likelihood_ratio_rejects_non_finite_counts(bad):
+    # a nan count must not be read as an unobserved outcome
+    with pytest.raises(ValidationError, match="finite"):
+        log_likelihood_ratio(CoinExperiment(HALF, SKEW, 2), [bad, 2.0])
+
+
 def test_expected_log_ratio_frozen():
     exp = CoinExperiment(HALF, SKEW, 10)
     expected = 10.0 * 0.5 * math.log(4.0 / 3.0)

@@ -8,14 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogeo import (
+    ProbDist,
     RealState,
+    TangentVec,
     coarse_grain,
     from_polar,
     gauge_shift,
+    random_real_state,
     state_event_probs,
     to_polar,
 )
-from infogeo.cli import RunConfig, build_parser, main, run_correspondence
+from infogeo.cli import (
+    SIZE_CAPS,
+    RunConfig,
+    _centered_direction,
+    _kl_fisher_errors,
+    _worst_pullback,
+    build_parser,
+    main,
+    run_correspondence,
+)
 from infogeo.errors import ValidationError
 from infogeo.reporting import array_from_json
 
@@ -55,6 +67,18 @@ def test_config_validation_rules():
         RunConfig("metric-check", seed=1, trials=-1).validate()
     with pytest.raises(ValidationError, match="--seed"):
         RunConfig("metric-check", seed=-1).validate()
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CAPS))
+def test_size_caps_exit_two_before_allocating(name, capsys):
+    cap = SIZE_CAPS[name]
+    RunConfig("all", seed=1, **{name: cap}).validate()
+    with pytest.raises(ValidationError, match=f"--{name} must be at most {cap}"):
+        RunConfig("all", seed=1, **{name: cap + 1}).validate()
+    # validation runs before any battery, so this allocates nothing
+    code, out, err = run(["all", "--seed", "1", f"--{name}", str(10**30)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: --{name} must be at most {cap}")
 
 
 def test_seed_requirement():
@@ -188,6 +212,24 @@ def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
         assert out.getvalue() == "" and err.getvalue().startswith("config error:")
     else:
         assert json.loads(out.getvalue())["command"] == command
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    tangents=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1) | st.integers(-(2**63), -1),
+)
+def test_metric_check_ends_in_an_exit_code(n, tangents, seed):
+    argv = ["metric-check", "--n", str(n), "--tangents", str(tangents), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("config error:")
+    else:
+        assert json.loads(out.getvalue())["command"] == "metric-check"
 
 
 def test_parser_leaves_defaults_to_run_config():
@@ -327,3 +369,71 @@ def test_coin_distinguish_monte_carlo_details(capsys):
     assert mc["trials"] == 300
     assert mc["tosses"] == 800  # signal 0.02 at delta 0.005
     assert mc["stderr_gain_at_mean_posterior"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# metric-check's array passes against a per-object reference loop
+
+
+def _per_object_metric_rows(seed, n, tangents):
+    """The KL-Fisher errors and the worst pullback gap computed one
+    ProbDist/TangentVec at a time, with the KL and quadratic-form arithmetic
+    written out (not the row kernels)."""
+    rng = np.random.default_rng(seed)
+
+    def kl(p, p2):
+        support = p.probs > 0.0
+        a, b = p.probs[support], p2.probs[support]
+        return float(np.sum(a * np.log(a / b)))
+
+    def fisher(p, dp):
+        terms = np.zeros_like(p.probs)
+        np.divide(dp.deltas**2, p.probs, out=terms, where=dp.deltas != 0.0)
+        return 0.25 * float(terms.sum())
+
+    errs = np.zeros(3)
+    for _ in range(tangents):
+        w = rng.uniform(0.1, 1.0, size=n)
+        p = ProbDist(w / w.sum())
+        d = rng.uniform(-1.0, 1.0, size=n)
+        d -= d.mean()
+        direction = d / np.abs(d).max()
+        for k, eps in enumerate((1e-2, 5e-3, 2.5e-3)):
+            dp = TangentVec(eps * direction)
+            p2 = ProbDist(p.probs + eps * direction)
+            errs[k] += abs(kl(p, p2) - 2.0 * fisher(p, dp))
+    errs /= tangents
+
+    worst = 0.0
+    for _ in range(tangents):
+        state = random_real_state(2 * n, rng)
+        dq = rng.uniform(-1.0, 1.0, size=2 * n)
+        dq -= (dq @ state.q) * state.q
+        dq *= 1e-3
+        events = ProbDist(state_event_probs(state).event_probs)
+        gap = abs(fisher(events, TangentVec(2.0 * state.q * dq)) - float(dq @ dq))
+        worst = max(worst, gap)
+    return errs, worst, rng.random()
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_metric_rows_match_per_object_loop(n, seed):
+    tangents = 400
+    ref_errs, ref_worst, ref_next = _per_object_metric_rows(seed, n, tangents)
+    rng = np.random.default_rng(seed)
+    errs = _kl_fisher_errors(rng, n, tangents, (1e-2, 5e-3, 2.5e-3))
+    worst = _worst_pullback(rng, n, tangents)
+    assert errs.tolist() == ref_errs.tolist()
+    assert worst == ref_worst and worst > 0.0
+    assert rng.random() == ref_next  # both consumed the same stream
+
+
+def test_centered_direction_maps_all_equal_row_to_edge():
+    u = np.array([[0.3, 0.3, 0.3, 0.3], [0.1, 0.9, 0.4, 0.2], [0.6, 0.6, 0.6, 0.6]])
+    rows = _centered_direction(u)
+    assert rows[0].tolist() == rows[2].tolist() == [1.0, 0.0, 0.0, -1.0]
+    d = -1.0 + 2.0 * u[1]
+    d -= d.mean()
+    assert rows[1].tolist() == (d / np.abs(d).max()).tolist()
+    assert _centered_direction(np.full(3, 0.7)).tolist() == [1.0, 0.0, -1.0]

@@ -17,6 +17,7 @@ from infogeo import (
     sqrt_embed,
     statistical_distance,
 )
+from infogeo.simplex import _check_rows, _fisher_rows, _kl_rows
 from conftest import decimal_ray_angle
 
 # ---------------------------------------------------------------------------
@@ -246,3 +247,66 @@ def test_sqrt_embed_angle_is_statistical_distance(a, b):
     assert math.acos(cosang) == pytest.approx(
         statistical_distance(a, b), abs=1e-7
     )
+
+
+# ---------------------------------------------------------------------------
+# row kernels: one batch call equals the public call on each row
+
+
+def _rows_with_zeros(rng, shape):
+    w = rng.uniform(0.05, 1.0, size=shape)
+    w[rng.random(shape) < 0.25] = 0.0
+    w[..., 0] += 0.1  # no all-zero row
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
+def test_row_kernels_equal_public_calls_row_by_row(n):
+    rng = np.random.default_rng(n)
+    probs = _rows_with_zeros(rng, (40, n))
+    probs2 = np.where(probs > 0.0, _rows_with_zeros(rng, (3, 40, n)) + 0.01, 0.0)
+    probs2 /= probs2.sum(axis=-1, keepdims=True)
+    support = probs > 0.0  # tangents must not move zero-probability outcomes
+    d = np.where(support, rng.uniform(-1.0, 1.0, size=(3, 40, n)), 0.0)
+    d -= support * d.sum(axis=-1, keepdims=True) / support.sum(axis=-1, keepdims=True)
+    deltas = 1e-3 * d
+    for rows, kind in ((probs, "probs"), (probs2, "probs"), (deltas, "deltas")):
+        _check_rows(rows, kind)
+    kl, fisher = _kl_rows(probs, probs2), _fisher_rows(probs, deltas)
+    assert kl.shape == fisher.shape == (3, 40)
+    for k in range(3):
+        for t in range(40):
+            p = ProbDist(probs[t])
+            assert kl[k, t] == kl_divergence(p, ProbDist(probs2[k, t]))
+            assert fisher[k, t] == fisher_quadratic(p, TangentVec(deltas[k, t]))
+
+
+def test_row_kernels_keep_the_public_checks():
+    probs = np.array([[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(SingularMetric):
+        _fisher_rows(probs, np.array([[0.01, -0.01], [0.01, -0.01]]))
+    assert _fisher_rows(probs, np.array([[0.01, -0.01], [0.0, 0.0]])).tolist() == [1e-4, 0.0]
+    with pytest.raises(AbsoluteContinuityViolation):
+        _kl_rows(probs[::-1], probs)
+    with pytest.raises(DimensionMismatch):
+        _kl_rows(probs, np.full((2, 3), 1.0 / 3.0))
+    with pytest.raises(DimensionMismatch):
+        _fisher_rows(probs, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad_row, kind, message",
+    [
+        ([0.5, np.nan], "probs", "non-finite"),
+        ([-0.25, 1.25], "probs", "nonnegative"),
+        ([0.5, 0.6], "probs", "sum to 1.1"),
+        ([0.1, 0.1], "deltas", "sum to 0.2"),
+        ([np.inf, -np.inf], "deltas", "non-finite"),
+    ],
+)
+def test_check_rows_rejects_any_bad_row_of_a_batch(bad_row, kind, message):
+    good = [0.5, 0.5] if kind == "probs" else [0.25, -0.25]
+    rows = np.array([[good, good], [good, bad_row]])
+    with pytest.raises(ValidationError, match=message):
+        _check_rows(rows, kind)
+    _check_rows(rows[0], kind)
