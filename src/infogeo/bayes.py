@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, ZeroLikelihoodBoth
-from .simplex import ProbDist, TangentVec, fisher_quadratic, kl_divergence
+from .simplex import ProbDist, TangentVec, _vector, fisher_quadratic, kl_divergence
 
 # An uncertainty function on a binary distribution (pi_a, pi_b).  Must be
 # symmetric in its arguments and maximal at (1/2, 1/2).
@@ -90,11 +90,7 @@ def log_likelihood_ratio(exp: CoinExperiment, counts) -> float:
     expected_log_ratio(exp) exactly.  Raises ZeroLikelihoodBoth when the
     counts are impossible under both coins.
     """
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != (exp.p.n,):
-        raise DimensionMismatch(f"need {exp.p.n} counts, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("counts must be finite")
+    arr = _vector(counts, "counts", size=exp.p.n)
     if np.any(arr < 0.0):
         raise ValidationError("counts must be nonnegative")
     log_ratio = float(_log_weight(exp.p.probs, arr)) - float(_log_weight(exp.p2.probs, arr))
@@ -108,9 +104,7 @@ def exact_posterior(exp: CoinExperiment, counts) -> PosteriorReport:
 
     Raises ZeroLikelihoodBoth when the counts are impossible under both coins.
     """
-    arr = np.asarray(counts)
-    if arr.shape != (exp.p.n,):
-        raise DimensionMismatch(f"need {exp.p.n} counts, got shape {arr.shape}")
+    arr = _vector(counts, "counts", size=exp.p.n, dtype=None)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError("counts must be integers")
     if np.any(arr < 0):

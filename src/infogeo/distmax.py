@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
-from .simplex import _angle_between
+from .simplex import _angle_between, _vector
 from .statespace import ComplexState
 from .transforms import _haar
 
@@ -89,9 +89,9 @@ def unitary_from_params(params: np.ndarray, n: int) -> np.ndarray:
     dimension-correct (n^2 real parameters) and onto, by the QR elimination
     argument: plane rotations can reduce any unitary to a diagonal of phases.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (n_parameters(n),):
+    if np.shape(params) != (n_parameters(n),):
         raise ValidationError(f"need {n_parameters(n)} parameters for dimension {n}")
+    params = _vector(params, "params", size=n_parameters(n))
     u = np.diag(np.exp(1j * params[:n]))
     k = n
     for i, j in _pair_order(n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ImpossibleOutcome, ValidationError
-from .simplex import ProbDist
+from .simplex import ProbDist, _vector
 from .statespace import ComplexState
 from .transforms import STRUCTURAL_TOL, require_unitary
 
@@ -42,20 +42,9 @@ class Measurement:
             raise ValidationError("a measurement needs at least 2 outcomes")
         arr = arr.copy()
         arr.flags.writeable = False
-        if self.phases is None:
-            ph = np.zeros(arr.shape[0])
-        else:
-            ph = np.asarray(self.phases, dtype=float)
-            if ph.shape != (arr.shape[0],):
-                raise DimensionMismatch(
-                    f"need {arr.shape[0]} phases, got shape {ph.shape}"
-                )
-            if not np.all(np.isfinite(ph)):
-                raise ValidationError("phases must be finite")
-            ph = ph.copy()
-        ph.flags.writeable = False
+        phases = np.zeros(arr.shape[0]) if self.phases is None else self.phases
         object.__setattr__(self, "u", arr)
-        object.__setattr__(self, "phases", ph)
+        object.__setattr__(self, "phases", _vector(phases, "phases", size=arr.shape[0]))
 
     @property
     def n(self) -> int:

@@ -50,25 +50,29 @@ def _check_rows(arr: np.ndarray, kind: str) -> None:
         )
 
 
-def _readonly_row(values, kind: str) -> np.ndarray:
-    # the one row of a ProbDist, TangentVec or EventDist: a read-only copy
-    # with at least 2 entries that passes _check_rows
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError(f"{kind} must be one row of >= 2 entries, got shape {arr.shape}")
-    _check_rows(arr, kind)
+def _vector(values, name: str, size: int | None = None, dtype=float) -> np.ndarray:
+    """The one validator of a 1-D input: a read-only copy of values as an
+    array of dtype (dtype=None keeps the input's), with at least 2 entries or,
+    when size is given, exactly size of them, and finite floating-point or
+    complex entries.  A wrong shape raises DimensionMismatch when size is
+    given and ValidationError otherwise; a non-finite entry raises
+    ValidationError."""
+    arr = np.array(values, dtype=dtype)
+    if size is not None:
+        if arr.shape != (size,):
+            raise DimensionMismatch(f"{name} must have shape ({size},), got {arr.shape}")
+    elif arr.ndim != 1 or arr.size < 2:
+        raise ValidationError(f"{name} must be one row of >= 2 entries, got shape {arr.shape}")
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
 
 
-def _as_readonly_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
+def _readonly_row(values, kind: str) -> np.ndarray:
+    # the one row of a ProbDist, TangentVec or EventDist
+    arr = _vector(values, kind)
+    _check_rows(arr, kind)
     return arr
 
 
@@ -89,12 +93,15 @@ class ProbDist:
     @classmethod
     def renormalized(cls, values) -> "ProbDist":
         """Scale nonnegative weights to sum exactly to 1."""
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError("need a one-dimensional vector of >= 2 weights")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValidationError("weights must be finite and nonnegative")
-        total = arr.sum()
+        arr = _vector(values, "weights")
+        if np.any(arr < 0.0):
+            raise ValidationError("weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = arr.sum()
+        if total == math.inf:
+            # finite weights whose sum overflows: scale by the largest first
+            arr = arr / arr.max()
+            total = arr.sum()
         if total <= 0.0:
             raise ValidationError("weights must have positive sum")
         return cls(arr / total)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyGrid,
     OddDimension,
     ValidationError,
@@ -39,9 +38,9 @@ from .simplex import (
     NORMALIZATION_TOL,
     ProbDist,
     TangentVec,
-    _as_readonly_float_array,
     _moving,
     _readonly_row,
+    _vector,
     fisher_quadratic,
 )
 
@@ -71,7 +70,7 @@ class RealState:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_float_array(self.q, "q")
+        arr = _vector(self.q, "q")
         if arr.size < 4 or arr.size % 2 != 0:
             raise ValidationError("q must have even length >= 4")
         if abs(float(arr @ arr) - 1.0) > NORMALIZATION_TOL:
@@ -93,12 +92,10 @@ class PolarState:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_float_array(self.theta, "theta")
-        if arr.size != self.p.n:
-            raise DimensionMismatch(
-                f"{arr.size} angles for {self.p.n} outcomes"
-            )
-        reduced = np.mod(arr, TWO_PI)
+        # a 2-D theta is a ValidationError, a wrong length a DimensionMismatch
+        if np.ndim(self.theta) != 1:
+            raise ValidationError(f"theta must be one-dimensional, not {np.ndim(self.theta)}-D")
+        reduced = np.mod(_vector(self.theta, "theta", size=self.p.n), TWO_PI)
         # mod can return 2*pi for tiny negative inputs; fold it back
         reduced[reduced >= TWO_PI] = 0.0
         reduced.flags.writeable = False
@@ -127,16 +124,10 @@ class ComplexState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.v, dtype=complex)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError("v must be a one-dimensional vector of >= 2 amplitudes")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("v contains non-finite entries")
+        arr = _vector(self.v, "v", dtype=complex)
         norm2 = float(np.sum(np.abs(arr) ** 2))
         if abs(norm2 - 1.0) > NORMALIZATION_TOL:
             raise ValidationError("sum of |v_i|^2 must be 1 within 1e-12")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "v", arr)
 
     @property
@@ -231,16 +222,9 @@ def polar_metric_quadratic(
     hypersphere.
     """
     n = ps.p.n
-    dtheta_arr = np.asarray(dtheta, dtype=float)
-    if dtheta_arr.shape != (n,):
-        raise DimensionMismatch(f"dtheta must have shape ({n},)")
-    if dchi is None:
-        dchi_arr = np.zeros(n)
-    else:
-        dchi_arr = np.asarray(dchi, dtype=float)
-        if dchi_arr.shape != (n,):
-            raise DimensionMismatch(f"dchi must have shape ({n},)")
-    angular = ps.p.probs * (dtheta_arr + g.a * dchi_arr) ** 2
+    dtheta = _vector(dtheta, "dtheta", size=n)
+    dchi = np.zeros(n) if dchi is None else _vector(dchi, "dchi", size=n)
+    angular = ps.p.probs * (dtheta + g.a * dchi) ** 2
     return fisher_quadratic(ps.p, dp) + float(angular.sum())
 
 
@@ -251,9 +235,7 @@ def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarra
     theta actually turns only where p_i > 0 contributes.
     """
     n = ps.p.n
-    dth = np.asarray(dtheta_total, dtype=float)
-    if dth.shape != (n,):
-        raise DimensionMismatch(f"dtheta_total must have shape ({n},)")
+    dth = _vector(dtheta_total, "dtheta_total", size=n)
     moving = _moving(ps.p.probs, dp.deltas)
     r = np.sqrt(ps.p.probs)
     dr = np.zeros(n)
@@ -283,15 +265,17 @@ def measure_invariance_check(
     """Check that sampled slope values theta'(chi) have constant magnitude.
 
     Pass iff max|theta'| - min|theta'| <= rel_tol * mean|theta'|.  Raises
-    EmptyGrid for fewer than two samples.
+    EmptyGrid for fewer than two samples and ValidationError for non-finite
+    samples or ones whose sum overflows.
     """
-    arr = np.abs(np.asarray(theta_prime_samples, dtype=float))
-    if arr.ndim != 1 or arr.size < 2:
+    if np.ndim(theta_prime_samples) != 1 or np.size(theta_prime_samples) < 2:
         raise EmptyGrid("need a grid of at least 2 slope samples")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("slope samples must be finite")
+    arr = np.abs(_vector(theta_prime_samples, "slope samples"))
     deviation = float(arr.max() - arr.min())
-    mean = float(arr.mean())
+    with np.errstate(over="ignore"):
+        mean = float(arr.mean())
+    if mean == math.inf:
+        raise ValidationError("slope magnitudes sum past the float range")
     passed = deviation <= rel_tol * mean
     constant = 1.0 / (TWO_PI * mean) if mean > 0.0 else None
     return MeasureInvarianceResult(passed, deviation, mean, constant)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, NotUnitary, ValidationError, WrongType
+from .simplex import _vector
 from .statespace import DEFAULT_GAUGE, GaugeConvention, _interleave
 
 STRUCTURAL_TOL = 1e-10
@@ -228,9 +229,8 @@ def gauge_invariance_probe(
         if n_shifts < 1:
             raise ValidationError("n_shifts must be positive")
         chi0s = rng.uniform(0.0, 2.0 * math.pi, size=n_shifts)
-    chi0s = np.asarray(chi0s, dtype=float)
-    if chi0s.ndim != 1 or chi0s.size == 0 or not np.all(np.isfinite(chi0s)):
-        raise ValidationError("chi0s must be a nonempty vector of finite shifts")
+    # one shift is a legal grid, so a 1-entry chi0s is checked as size 1
+    chi0s = _vector(chi0s, "chi0s", size=1 if np.shape(chi0s) == (1,) else None)
 
     # a shift turns every coordinate pair by a * chi0; shift 0 comes first, so
     # imgs[:, 0] is the unshifted image of each state

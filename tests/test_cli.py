@@ -191,6 +191,19 @@ def test_tiny_coin_offset_exit_codes(argv, expected, capsys):
         assert json.loads(out)["overall_passed"] is True
 
 
+def assert_exit_contract(argv):
+    """main(argv) exits 0 or 1 with a JSON report of argv's command, or 2 with
+    only a config error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("config error:")
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(["coin-distinguish", "born-check"]),
@@ -202,16 +215,8 @@ def test_tiny_coin_offset_exit_codes(argv, expected, capsys):
     shots=st.integers(0, 1000) | st.just(2**63),
 )
 def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
-    argv = [command, "--n", str(n), "--seed", str(seed), "--delta", repr(f / n),
-            "--trials", str(trials), "--shots", str(shots)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("config error:")
-    else:
-        assert json.loads(out.getvalue())["command"] == command
+    assert_exit_contract([command, "--n", str(n), "--seed", str(seed), "--delta", repr(f / n),
+                          "--trials", str(trials), "--shots", str(shots)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,15 +226,22 @@ def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
     seed=st.integers(0, 2**32 - 1) | st.integers(-(2**63), -1),
 )
 def test_metric_check_ends_in_an_exit_code(n, tangents, seed):
-    argv = ["metric-check", "--n", str(n), "--tangents", str(tangents), "--seed", str(seed)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("config error:")
-    else:
-        assert json.loads(out.getvalue())["command"] == "metric-check"
+    assert_exit_contract(["metric-check", "--n", str(n), "--tangents", str(tangents),
+                          "--seed", str(seed)])
+
+
+@pytest.mark.parametrize("command", ["correspondence", "wootters"])
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    pairs=st.integers(1, 3),
+    draws=st.integers(1, 3),
+    budget=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1) | st.integers(-(2**63), -1),
+)
+def test_state_commands_end_in_an_exit_code(command, n, pairs, draws, budget, seed):
+    assert_exit_contract([command, "--n", str(n), "--pairs", str(pairs), "--draws", str(draws),
+                          "--budget", str(budget), "--seed", str(seed)])
 
 
 def test_parser_leaves_defaults_to_run_config():

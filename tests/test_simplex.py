@@ -7,15 +7,28 @@ from hypothesis import strategies as st
 
 from infogeo import (
     AbsoluteContinuityViolation,
+    CoinExperiment,
+    ComplexState,
     DimensionMismatch,
+    EmptyGrid,
+    Measurement,
+    PolarState,
     ProbDist,
+    RealState,
     SingularMetric,
     TangentVec,
     ValidationError,
+    exact_posterior,
     fisher_quadratic,
+    gauge_invariance_probe,
     kl_divergence,
+    log_likelihood_ratio,
+    measure_invariance_check,
+    polar_metric_quadratic,
+    polar_pushforward,
     sqrt_embed,
     statistical_distance,
+    unitary_from_params,
 )
 from infogeo.simplex import _check_rows, _fisher_rows, _kl_rows
 from conftest import decimal_ray_angle
@@ -79,6 +92,8 @@ def test_renormalized():
         ProbDist.renormalized([0.0, 0.0])
     with pytest.raises(ValidationError):
         ProbDist.renormalized([1.0, -1.0])
+    # finite weights whose sum overflows a float
+    assert ProbDist.renormalized([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
 
 
 def test_tangentvec_validation():
@@ -310,3 +325,51 @@ def test_check_rows_rejects_any_bad_row_of_a_batch(bad_row, kind, message):
     with pytest.raises(ValidationError, match=message):
         _check_rows(rows, kind)
     _check_rows(rows[0], kind)
+
+
+# ---------------------------------------------------------------------------
+# every 1-D entry point, validated by simplex._vector
+
+_P = ProbDist([0.5, 0.5])
+_PS = PolarState(_P, [0.1, 0.2])
+_DP = TangentVec([0.1, -0.1])
+_COINS = CoinExperiment(_P, ProbDist([0.4, 0.6]), 3)
+_VE, _DM = ValidationError, DimensionMismatch
+
+# site: (call, a valid vector, one of the wrong length, the type raised for a
+# 2-D input, the type raised for the wrong length)
+VECTOR_SITES = {
+    "ProbDist": (ProbDist, [0.5, 0.5], [1.0], _VE, _VE),
+    "renormalized": (ProbDist.renormalized, [1.0, 3.0], [1.0], _VE, _VE),
+    "RealState": (RealState, [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0], _VE, _VE),
+    "PolarState": (lambda x: PolarState(_P, x), [0.1, 0.2], [0.1, 0.2, 0.3], _VE, _DM),
+    "ComplexState": (ComplexState, [1j, 0j], [1j], _VE, _VE),
+    "dtheta": (lambda x: polar_metric_quadratic(_PS, _DP, x), [0.1, 0.2], [0.1], _DM, _DM),
+    "dchi": (lambda x: polar_metric_quadratic(_PS, _DP, [0.0, 0.0], dchi=x), [0.1, 0.2], [0.1],
+             _DM, _DM),
+    "dtheta_total": (lambda x: polar_pushforward(_PS, _DP, x), [0.1, 0.2], [0.1], _DM, _DM),
+    "slope samples": (measure_invariance_check, [1.0, 1.0], [1.0], EmptyGrid, EmptyGrid),
+    "phases": (lambda x: Measurement(np.eye(2), x), [0.0, 0.0], [0.0, 0.0, 0.0], _DM, _DM),
+    "chi0s": (lambda x: gauge_invariance_probe(np.eye(4), chi0s=x, n_states=2), [0.5, 1.0], [],
+              _VE, _VE),
+    "params": (lambda x: unitary_from_params(x, 2), [0.0] * 4, [0.0] * 5, _VE, _VE),
+    "llr counts": (lambda x: log_likelihood_ratio(_COINS, x), [1.0, 2.0], [1.0, 2.0, 0.0],
+                   _DM, _DM),
+    "posterior counts": (lambda x: exact_posterior(_COINS, x), [1, 2], [1, 2, 0], _DM, _DM),
+}
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "2-D", "wrong length"])
+@pytest.mark.parametrize("site", list(VECTOR_SITES))
+def test_every_vector_input_keeps_its_exception_type(site, case):
+    call, good, short, two_d_error, length_error = VECTOR_SITES[site]
+    call(good)
+    bad, expected = {
+        "nan": (np.concatenate(([math.nan], good[1:])), ValidationError),
+        "inf": (np.concatenate(([math.inf], good[1:])), ValidationError),
+        "2-D": (np.array([good, good]), two_d_error),
+        "wrong length": (short, length_error),
+    }[case]
+    with pytest.raises(expected) as raised:
+        call(bad)
+    assert type(raised.value) is expected

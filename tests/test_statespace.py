@@ -289,6 +289,9 @@ def test_measure_invariance_errors():
         measure_invariance_check([1.0])
     with pytest.raises(ValidationError):
         measure_invariance_check([1.0, math.nan])
+    # finite samples whose mean overflows: 1e308 <= 1e-9 * inf would pass
+    with pytest.raises(ValidationError, match="float range"):
+        measure_invariance_check([1.0, 1e308, 1e308])
 
 
 def test_measure_invariance_zero_slope():
