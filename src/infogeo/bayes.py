@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError, ZeroLikelihoodBoth
 from .simplex import ProbDist, TangentVec, _vector, fisher_quadratic, kl_divergence
 
@@ -179,17 +180,16 @@ def monte_carlo_gain(
     u: EntropyFn = shannon_entropy,
 ) -> MonteCarloSummary:
     """Simulate `trials` datasets of n tosses from coin 1 and summarize the
-    posterior.  Each trial draws from an independent substream indexed by the
-    trial number, so results are reproducible bit for bit at a fixed seed and
-    stable under batching.
+    posterior.  Trial t draws from substream t of seed, the stream of
+    SeedSequence(seed).spawn(trials)[t], so results are reproducible bit for
+    bit at a fixed seed and stable under batching.
     """
     if trials <= 0:
         raise ValidationError("trials must be positive")
     if exp.n > np.iinfo(np.int64).max:
         raise ValidationError(f"{exp.n} tosses exceed the sampler's limit of 2**63 - 1")
     counts = np.empty((trials, exp.p.n), dtype=np.int64)
-    for t in range(trials):  # substream t equals SeedSequence(seed).spawn(trials)[t]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    for t, rng in enumerate(substreams(seed, range(trials))):
         counts[t] = rng.multinomial(exp.n, exp.p.probs)
     base = u(0.5, 0.5)
     gains, posts = np.empty(trials), np.empty(trials)

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bayes, distmax, measurement, simplex, statespace, transforms
+from ._streams import substreams
 from .errors import InfoGeoError, NotOrthogonal, ValidationError
 from .reporting import (
     Report,
@@ -34,7 +35,7 @@ _STOCHASTIC_ALWAYS = {"metric-check", "correspondence", "born-check", "wootters"
 # 2 instead of ending in a MemoryError.  Each keeps the largest run it allows
 # under ~0.5 GB of traced allocations, with the other options at their caps:
 # per-unit peaks were measured with tracemalloc (NumPy 2.4, x86-64) at 2000-
-# 20000 tangents or trials, 200 pairs and 1000 restarts, and scaled linearly.
+# 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
     # correspondence keeps 200 maps of (2n)^2 floats: ~7 kB * n^2, 30 MB at 64
     "n": 64,
@@ -45,7 +46,9 @@ SIZE_CAPS = {
     "tangents": 50_000,
     # wootters keeps one table row per pair: ~4.7 kB each, ~0.24 GB at the cap
     "pairs": 50_000,
-    # one spawned SeedSequence per restart: 376 B each, 38 MB at the cap
+    # restarts reset one Generator, so memory stays flat (291 and 301 kB traced
+    # at 1000 and 4000 restarts, n = 2); the cap bounds the time, ~5 min for
+    # one n = 2 pair at ~3 ms per restart
     "budget": 100_000,
     # a draw is one loop step and memory stays flat (0.2-0.8 MB traced at
     # 2000-5000 draws); the cap bounds the time, ~1 h of correspondence draws
@@ -322,8 +325,7 @@ def run_correspondence(cfg: RunConfig) -> Report:
     report = Report("correspondence", cfg.echo())
     n = cfg.n
     dim = 2 * n
-    ss = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(ss.spawn(1)[0])
+    rng = next(substreams(cfg.seed, range(1)))
 
     constructed = 100
     type1_hits = type2_hits = 0

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .simplex import _angle_between, _vector
@@ -217,12 +218,10 @@ def maximize_statistical_distance(
     a, b = u.v, v.v
     ab = np.stack((a, b), axis=1)
 
-    children = np.random.SeedSequence(seed).spawn(budget)
     best_val = math.inf
     best_params: np.ndarray | None = None
     evaluations = 0
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
+    for rng in substreams(seed, range(budget)):
         start = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
         rot = start[n:].tolist()
         val, count = _refine(ab, rot, step=0.5)

@@ -39,6 +39,11 @@ def _check_rows(arr: np.ndarray, kind: str) -> None:
     tangent directions)."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{kind} contains non-finite entries")
+    _check_sums(arr, kind)
+
+
+def _check_sums(arr: np.ndarray, kind: str) -> None:
+    # _check_rows on rows whose entries are known to be finite
     if kind == "probs" and (arr < 0.0).any():
         raise ValidationError("probabilities must be nonnegative")
     target = 1.0 if kind == "probs" else 0.0
@@ -70,9 +75,9 @@ def _vector(values, name: str, size: int | None = None, dtype=float) -> np.ndarr
 
 
 def _readonly_row(values, kind: str) -> np.ndarray:
-    # the one row of a ProbDist, TangentVec or EventDist
+    # the one row of a ProbDist, TangentVec or EventDist; _vector checked finiteness
     arr = _vector(values, kind)
-    _check_rows(arr, kind)
+    _check_sums(arr, kind)
     return arr
 
 
@@ -198,8 +203,15 @@ def _kl_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
     if np.any(support & (probs2 == 0.0)):
         raise AbsoluteContinuityViolation("p has mass where p2 vanishes")
     ratio = np.ones(np.broadcast_shapes(probs.shape, probs2.shape))
-    np.divide(probs, probs2, out=ratio, where=support)
-    return (probs * np.log(ratio)).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        np.divide(probs, probs2, out=ratio, where=support)
+    logs = np.log(ratio)
+    over = np.isinf(ratio)
+    if over.any():
+        # a subnormal probs2 overflows the ratio; its log is still finite
+        p, p2 = np.broadcast_arrays(probs, probs2)
+        logs[over] = np.log(p[over]) - np.log(p2[over])
+    return (probs * logs).sum(axis=-1)
 
 
 def kl_divergence(p: ProbDist, p2: ProbDist) -> float:

@@ -347,3 +347,21 @@ def test_monte_carlo_matches_per_trial_exact_posterior(p, p2, tosses, prior_a):
     assert monte_carlo_gain(exp, trials=500, seed=17, u=_python_float_entropy) == expected
     if p2[-1] == 0.0:
         assert np.any(log_ratios == math.inf)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 2**32, 2**64 + 5, 10**30, np.int64(20260814)], ids=str
+)
+def test_monte_carlo_matches_spawned_substreams_at_any_seed(seed):
+    # 1100 trials cross the substream kernel's 1024-key block
+    exp = CoinExperiment(ProbDist([0.5, 0.5]), ProbDist([0.505, 0.495]), 800)
+    expected, _ = _per_trial_reference(exp, 1100, seed, _python_float_entropy)
+    assert monte_carlo_gain(exp, trials=1100, seed=seed, u=_python_float_entropy) == expected
+
+
+def test_monte_carlo_rejects_seeds_as_seed_sequence_does():
+    exp = CoinExperiment(HALF, SKEW, 5)
+    with pytest.raises(ValueError):
+        monte_carlo_gain(exp, trials=3, seed=-1)
+    with pytest.raises(TypeError):
+        monte_carlo_gain(exp, trials=3, seed=1.5)

@@ -214,6 +214,17 @@ def test_kl_divergence_zero_times_log_zero():
     assert kl_divergence(p, ProbDist([0.5, 0.5])) == pytest.approx(math.log(2.0))
 
 
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324, 1e-300])
+def test_kl_divergence_is_finite_at_a_subnormal_p2(tiny):
+    # p / p2 overflows at a subnormal p2; the divergence itself is ~356 nats
+    p, p2 = [0.5, 0.5], [tiny, 1.0 - tiny]
+    reference = sum(a * (math.log(a) - math.log(b)) for a, b in zip(p, p2))
+    assert kl_divergence(ProbDist(p), ProbDist(p2)) == pytest.approx(reference, rel=1e-15)
+    batch = _kl_rows(np.array([p, [0.25, 0.75]]), np.array([p2, p2]))
+    assert batch[0] == pytest.approx(reference, rel=1e-15)
+    assert np.isfinite(batch).all()
+
+
 def test_kl_divergence_absolute_continuity():
     with pytest.raises(AbsoluteContinuityViolation):
         kl_divergence(ProbDist([0.5, 0.5]), ProbDist([0.0, 1.0]))
