@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bayes, distmax, measurement, simplex, statespace, transforms
 from ._streams import substreams
-from .errors import InfoGeoError, NotOrthogonal, ValidationError
+from .errors import InfoGeoError, NotOrthogonal, NotUnitary, ValidationError
 from .reporting import (
     Report,
     array_to_json,
@@ -46,12 +46,15 @@ SIZE_CAPS = {
     "tangents": 50_000,
     # wootters keeps one table row per pair: ~4.7 kB each, ~0.24 GB at the cap
     "pairs": 50_000,
-    # restarts reset one Generator, so memory stays flat (291 and 301 kB traced
-    # at 1000 and 4000 restarts, n = 2); the cap bounds the time, ~5 min for
-    # one n = 2 pair at ~3 ms per restart
+    # restarts reset one Generator, so memory stays flat (289 and 301 kB traced
+    # at 1000 and 4000 restarts, n = 2); the cap bounds the time, ~1.5 min for
+    # one n = 2 pair at ~0.9 ms per restart
     "budget": 100_000,
-    # a draw is one loop step and memory stays flat (0.2-0.8 MB traced at
-    # 2000-5000 draws); the cap bounds the time, ~1 h of correspondence draws
+    # correspondence takes one draw per loop step (0.7 MB traced at n = 8) and
+    # wootters' envelope 1000 draws per array pass (4.8 MB traced at n = 8,
+    # 2000 and 5000 draws, below the certifier's 8.8 MB Haar batch), so memory
+    # stays flat; the cap bounds the time, ~10 min at ~0.6 ms per
+    # correspondence draw and ~1.5 min at ~0.1 ms per envelope draw (n = 8)
     "draws": 1_000_000,
 }
 
@@ -79,6 +82,10 @@ class RunConfig:
             raise ValidationError("--seed must be nonnegative")
         if self.trials < 0 or self.shots < 0:
             raise ValidationError("--trials and --shots must be nonnegative")
+        if self.trials == 1:
+            # one trial has no standard error, so the Monte Carlo check's
+            # 3-stderr tolerance would be 0
+            raise ValidationError("--trials must be 0 or at least 2")
         if self.budget < 1 or self.pairs < 1 or self.draws < 1 or self.tangents < 1:
             raise ValidationError("--budget, --pairs, --draws, --tangents must be positive")
         for name, cap in SIZE_CAPS.items():
@@ -582,6 +589,43 @@ def run_born_check(cfg: RunConfig) -> Report:
     return report
 
 
+# draws per envelope pass: below the certifier's 2000-unitary batch, which
+# stays the battery's memory high-water
+_ENVELOPE_CHUNK = 1000
+
+
+def _envelope_distances(rng: np.random.Generator, n: int, size: int):
+    """(d_S, d_H) arrays of `size` envelope draws.
+
+    Draw k takes u and v as random_complex_state does, then the seed of its
+    Haar measurement W, from rng.  d_S is statistical_distance of the outcome
+    distributions |W u|^2 and |W v|^2 and d_H is hilbert_distance(u, v); the
+    QR, the matrix-vector products and the elementwise terms run over the
+    whole stack and only the final norms run per draw, the same arithmetic as
+    building a Measurement and two ProbDist objects per draw.
+    """
+    ab = np.empty((2, size, n), dtype=complex)
+    z = np.empty((size, n, n), dtype=complex)
+    for k in range(size):
+        ab[0, k] = statespace._random_amplitudes(rng, n)
+        ab[1, k] = statespace._random_amplitudes(rng, n)
+        z[k] = transforms._gaussian(np.random.default_rng(rng.integers(2**62)), (n, n), True)
+    w = transforms._haar_from_gaussian(z)
+    defect = np.linalg.norm(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(n), axis=(-2, -1)).max()
+    if defect > transforms.STRUCTURAL_TOL:
+        raise NotUnitary(f"a Haar measurement deviates from unitary by {defect:.3e}")
+    # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
+    sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
+    simplex._check_rows(sq, "probs")
+    p, p2 = sq[1]
+    total = np.sqrt(p) + np.sqrt(p2)
+    diff = np.zeros_like(total)
+    np.divide(p - p2, total, out=diff, where=total > 0.0)
+    ds = np.array([simplex._angle_between(diff[k], total[k]) for k in range(size)])
+    dh = np.array([distmax._hilbert_angle(ab[0, k], ab[1, k]) for k in range(size)])
+    return ds, dh
+
+
 def run_wootters(cfg: RunConfig) -> Report:
     ov = cfg.tol_overrides
     report = Report("wootters", cfg.echo())
@@ -615,16 +659,9 @@ def run_wootters(cfg: RunConfig) -> Report:
     report.checks.append(check_le("certified_minus_hilbert", cert_minus_hilbert, 1e-9, ov))
 
     envelope = -math.inf
-    for _ in range(cfg.draws):
-        u = statespace.random_complex_state(n, rng)
-        v = statespace.random_complex_state(n, rng)
-        w = transforms.random_unitary(n, rng.integers(2**62))
-        meas = measurement.Measurement(w)
-        ds = simplex.statistical_distance(
-            measurement.outcome_distribution(meas, u),
-            measurement.outcome_distribution(meas, v),
-        )
-        envelope = max(envelope, ds - distmax.hilbert_distance(u, v))
+    for start in range(0, cfg.draws, _ENVELOPE_CHUNK):
+        ds, dh = _envelope_distances(rng, n, min(_ENVELOPE_CHUNK, cfg.draws - start))
+        envelope = max(envelope, float(np.max(ds - dh)))
     report.checks.append(check_le("envelope_max_violation", envelope, 1e-9, ov))
 
     report.details = {

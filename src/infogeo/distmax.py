@@ -20,9 +20,20 @@ search sweeps the 2m rotation coordinates only and the phases keep their
 random start values.  A sweep is incremental.  One backward pass builds the
 suffixes G_{r+1} ... G_m [u v]; a prefix P = G_1 ... G_{r-1} grows by one
 two-column update per rotation; a candidate value of rotation r changes only
-two rows of G_r G_{r+1} ... G_m [u v], so it costs O(n) instead of m full
-products.  A Haar-sampling certifier provides an independent stochastic
-lower envelope of the same supremum.
+two rows of G_r G_{r+1} ... G_m [u v], so it scores from a (4, 2n) table in
+O(n) instead of m full products.
+
+Rotation r's table depends on every other rotation's (theta, zeta) but not on
+its own, so a table is kept across sweeps and rebuilt only when another
+rotation has accepted a candidate since it was built; the prefix and the
+suffixes are built, when a sweep first needs a table, from the current
+rotations.  The reuse is exact: a kept table holds the values a rebuild would
+compute from the same operands, and each candidate is scored by the same
+NumPy calls (a (4,) by (4, 2n) product, a modulus, a dot of the two halves),
+so every overlap, accepted step and evaluation count is bit-identical to
+rebuilding every table each sweep.  At n = 2 the ladder has one rotation and
+its table is built once per restart.  A Haar-sampling certifier provides an
+independent stochastic lower envelope of the same supremum.
 """
 
 from __future__ import annotations
@@ -53,9 +64,14 @@ def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
-    overlap = complex(np.vdot(u.v, v.v))
-    w = v.v if overlap == 0.0 else v.v * (abs(overlap) / overlap)
-    return _angle_between(u.v - w, u.v + w)
+    return _hilbert_angle(u.v, v.v)
+
+
+def _hilbert_angle(a: np.ndarray, b: np.ndarray) -> float:
+    # hilbert_distance of the amplitude rows a, b
+    overlap = complex(np.vdot(a, b))
+    w = b if overlap == 0.0 else b * (abs(overlap) / overlap)
+    return _angle_between(a - w, a + w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,59 +151,82 @@ def _suffixes(ab: np.ndarray, rot: list[float]) -> list[np.ndarray]:
     return out
 
 
-def _sweep(ab: np.ndarray, rot: list[float], step: float):
-    """Yield (k, candidate rot[k], overlap) for every candidate of one sweep.
+def _fold(p: np.ndarray, i: int, j: int, c: float, e: complex) -> None:
+    """p <- p G_ij(c, e) in place: a two-column update."""
+    pij = p[:, (i, j)]
+    p[:, i] = c * pij[:, 0] + e * pij[:, 1]
+    p[:, j] = c * pij[:, 1] - e.conjugate() * pij[:, 0]
 
-    rot holds (theta, zeta) per rotation of the ladder.  Candidates come in
-    search order: each coordinate +step, then -step, both taken from the
-    current rot; the caller accepts a candidate by writing it into rot[k]
-    before asking for the next one.
+
+def _table(terms: np.ndarray, p: np.ndarray, x: np.ndarray, i: int, j: int) -> None:
+    """Fill the (4, 2, n) candidate table of rotation (i, j).
+
+    With P = G_1 ... G_{r-1} and X = G_{r+1} ... G_m ab, a candidate (c, e)
+    for G_r outputs P G_r X, flattened as (1, c, e, -conj(e)) @ terms
+    reshaped to (4, 2n): the part through the rows of X outside (i, j), then
+    the three coefficients of the two touched rows.
     """
-    n = ab.shape[0]
-    suffixes = _suffixes(ab, rot)
-    p = np.eye(n, dtype=complex)
-    # With P = G_1 ... G_{r-1} and X = G_{r+1} ... G_m ab, a candidate (c, e)
-    # for G_r outputs P G_r X, flattened as (1, c, e, -conj(e)) @ flat: the
-    # part through the rows of X outside (i, j), then the three coefficients
-    # of the two touched rows.
-    terms = np.empty((4, 2, n), dtype=complex)
-    flat = terms.reshape(4, 2 * n)
-    for r, (i, j) in enumerate(_pair_order(n)):
-        x = suffixes[r + 1]
-        x2 = x[(i, j), :]
-        pij = p[:, (i, j)]
-        touched = pij @ x2
-        terms[0] = (p @ x - touched).T
-        terms[1] = touched.T
-        terms[2] = x2[0, :, None] * pij[:, 1]
-        terms[3] = x2[1, :, None] * pij[:, 0]
-        for k in (2 * r, 2 * r + 1):
-            for delta in (step, -step):
-                cand = rot[k] + delta
-                if k == 2 * r:
-                    c, e = _rotation(cand, rot[k + 1])
-                else:
-                    c, e = _rotation(rot[k - 1], cand)
-                mod = np.abs(np.dot(np.array((1.0, c, e, -e.conjugate())), flat))
-                yield k, cand, float(np.dot(mod[:n], mod[n:]))
-        c, e = _rotation(rot[2 * r], rot[2 * r + 1])
-        p[:, i] = c * pij[:, 0] + e * pij[:, 1]
-        p[:, j] = c * pij[:, 1] - e.conjugate() * pij[:, 0]
+    x2 = x[(i, j), :]
+    pij = p[:, (i, j)]
+    touched = pij @ x2
+    terms[0] = (p @ x - touched).T
+    terms[1] = touched.T
+    terms[2] = x2[0, :, None] * pij[:, 1]
+    terms[3] = x2[1, :, None] * pij[:, 0]
 
 
 def _refine(ab: np.ndarray, rot: list[float], step: float) -> tuple[float, int]:
     # Coordinate-wise greedy descent of the overlap over rot (updated in
     # place); halve the step after any sweep with no improvement, stop below
     # 1e-8.  Returns the best overlap and the number of objective evaluations.
-    mod = np.abs(_suffixes(ab, rot)[0])
-    best = float(np.dot(mod[:, 0], mod[:, 1]))
+    # Candidates come in search order: each coordinate +step, then -step,
+    # both taken from the current rot.
+    n = ab.shape[0]
+    pairs = _pair_order(n)
+    start = np.abs(_suffixes(ab, rot)[0])
+    best = float(np.dot(start[:, 0], start[:, 1]))
     evaluations = 1
+    tables = np.empty((len(pairs), 4, 2, n), dtype=complex)
+    flats = tables.reshape(len(pairs), 4, 2 * n)
+    # table r is current while built[r] == accepted: no other rotation has
+    # accepted a candidate since it was built
+    built = [-1] * len(pairs)
+    accepted = 0
+    coef = np.ones(4, dtype=complex)
+    amp = np.empty(2 * n, dtype=complex)
+    mod = np.empty(2 * n)
+    x_mod, y_mod = mod[:n], mod[n:]
     while step >= _MIN_STEP:
         improved = False
-        for k, cand, val in _sweep(ab, rot, step):
-            evaluations += 1
-            if val < best:
-                rot[k], best, improved = cand, val, True
+        # the prefix and suffixes of this sweep, built on first need
+        suffixes = p = None
+        for r, (i, j) in enumerate(pairs):
+            if built[r] != accepted:
+                if suffixes is None:
+                    suffixes = _suffixes(ab, rot)
+                    p, folded = np.eye(n, dtype=complex), 0
+                for q in range(folded, r):
+                    _fold(p, *pairs[q], *_rotation(rot[2 * q], rot[2 * q + 1]))
+                folded = r
+                _table(tables[r], p, suffixes[r + 1], i, j)
+                built[r] = accepted
+            flat = flats[r]
+            for k in (2 * r, 2 * r + 1):
+                for delta in (step, -step):
+                    cand = rot[k] + delta
+                    theta, zeta = (cand, rot[k + 1]) if k == 2 * r else (rot[k - 1], cand)
+                    # _rotation(theta, zeta), inlined
+                    s = math.sin(theta)
+                    e = complex(s * math.cos(zeta), s * math.sin(zeta))
+                    coef[1], coef[2], coef[3] = math.cos(theta), e, -e.conjugate()
+                    np.dot(coef, flat, out=amp)
+                    np.abs(amp, out=mod)
+                    val = float(np.dot(x_mod, y_mod))
+                    evaluations += 1
+                    if val < best:
+                        rot[k], best, improved = cand, val, True
+                        accepted += 1
+                        built[r] = accepted
         if not improved:
             step *= 0.5
     return best, evaluations

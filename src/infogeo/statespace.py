@@ -288,9 +288,13 @@ def random_complex_state(n: int, seed) -> ComplexState:
     """
     if n < 2:
         raise ValidationError("n must be >= 2")
-    rng = np.random.default_rng(seed)
+    return ComplexState(_random_amplitudes(np.random.default_rng(seed), n))
+
+
+def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    # the unchecked amplitudes of random_complex_state: real parts first
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ComplexState(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def random_real_state(dim: int, seed) -> RealState:

@@ -258,19 +258,27 @@ def gauge_invariance_probe(
 
 
 def _haar(rng: np.random.Generator, dim: int, batch: tuple = (), complex_=False) -> np.ndarray:
-    """Haar-random orthogonal or unitary matrices of shape (*batch, dim, dim).
-
-    QR of a (complex) standard-normal matrix with each column of Q scaled by
-    the phase of the matching diagonal entry of R, which makes the
-    distribution exactly Haar (Mezzadri, math-ph/0609050).  The real part of
-    every draw is taken before the imaginary part.
-    """
+    """Haar-random orthogonal or unitary matrices of shape (*batch, dim, dim),
+    by _haar_from_gaussian of _gaussian draws."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
-    shape = (*batch, dim, dim)
+    return _haar_from_gaussian(_gaussian(rng, (*batch, dim, dim), complex_))
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple, complex_=False) -> np.ndarray:
+    # standard normals of shape; complex ones take every real part first
     z = rng.standard_normal(shape)
-    if complex_:
-        z = z + 1j * rng.standard_normal(shape)
+    return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+
+def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar-random matrices from a (*batch, dim, dim) stack of (complex)
+    standard normals.
+
+    QR of each matrix with each column of Q scaled by the phase of the
+    matching diagonal entry of R, which makes the distribution exactly Haar
+    (Mezzadri, math-ph/0609050).
+    """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0.0] = 1.0

@@ -8,27 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogeo import (
+    Measurement,
     ProbDist,
     RealState,
     TangentVec,
     coarse_grain,
     from_polar,
     gauge_shift,
+    hilbert_distance,
+    outcome_distribution,
+    random_complex_state,
     random_real_state,
+    random_unitary,
     state_event_probs,
+    statistical_distance,
     to_polar,
 )
 from infogeo.cli import (
     SIZE_CAPS,
     RunConfig,
     _centered_direction,
+    _envelope_distances,
     _kl_fisher_errors,
     _worst_pullback,
     build_parser,
     main,
     run_correspondence,
 )
-from infogeo.errors import ValidationError
+from infogeo.errors import NotUnitary, ValidationError
 from infogeo.reporting import array_from_json
 
 # small, fast battery sizes shared by most invocations
@@ -79,6 +86,16 @@ def test_size_caps_exit_two_before_allocating(name, capsys):
     code, out, err = run(["all", "--seed", "1", f"--{name}", str(10**30)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: --{name} must be at most {cap}")
+
+
+def test_single_monte_carlo_trial_is_a_config_error(capsys):
+    # one trial has no standard error, so the Monte Carlo check could not pass
+    RunConfig("coin-distinguish", seed=1, trials=2).validate()
+    with pytest.raises(ValidationError, match="--trials must be 0 or at least 2"):
+        RunConfig("coin-distinguish", seed=1, trials=1).validate()
+    code, out, err = run(["coin-distinguish", "--seed", "7", "--trials", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --trials must be 0 or at least 2")
 
 
 def test_seed_requirement():
@@ -449,3 +466,49 @@ def test_centered_direction_maps_all_equal_row_to_edge():
     d -= d.mean()
     assert rows[1].tolist() == (d / np.abs(d).max()).tolist()
     assert _centered_direction(np.full(3, 0.7)).tolist() == [1.0, 0.0, -1.0]
+
+
+# ---------------------------------------------------------------------------
+# the wootters envelope's array pass against a per-draw reference loop
+
+
+def _per_draw_envelope(rng, n, draws):
+    """Each draw's d_S and d_H through the public constructors: two random
+    states, a Haar measurement and two outcome distributions per draw."""
+    rows = []
+    for _ in range(draws):
+        u = random_complex_state(n, rng)
+        v = random_complex_state(n, rng)
+        meas = Measurement(random_unitary(n, rng.integers(2**62)))
+        ds = statistical_distance(outcome_distribution(meas, u), outcome_distribution(meas, v))
+        rows.append((ds, hilbert_distance(u, v)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_envelope_matches_per_draw_loop(n, seed):
+    ref = _per_draw_envelope(np.random.default_rng(seed), n, 500)
+    rng = np.random.default_rng(seed)
+    # two passes, so the second starts where the first left the stream
+    first, second = _envelope_distances(rng, n, 300), _envelope_distances(rng, n, 200)
+    ds = np.concatenate((first[0], second[0]))
+    dh = np.concatenate((first[1], second[1]))
+    assert ds.tolist() == ref[:, 0].tolist()
+    assert dh.tolist() == ref[:, 1].tolist()
+    assert np.max(ds - dh) == np.max(ref[:, 0] - ref[:, 1])
+
+
+def test_envelope_checks_unitarity_and_normalization(monkeypatch):
+    # the same exception types as a Measurement and a ComplexState per draw
+    from infogeo import statespace, transforms
+
+    haar = transforms._haar_from_gaussian
+    monkeypatch.setattr(transforms, "_haar_from_gaussian", lambda z: 1.001 * haar(z))
+    with pytest.raises(NotUnitary):
+        _envelope_distances(np.random.default_rng(7), 3, 20)
+    monkeypatch.setattr(transforms, "_haar_from_gaussian", haar)
+    amplitudes = statespace._random_amplitudes
+    monkeypatch.setattr(statespace, "_random_amplitudes", lambda rng, n: 1.001 * amplitudes(rng, n))
+    with pytest.raises(ValidationError, match="probs sum to"):
+        _envelope_distances(np.random.default_rng(7), 3, 20)

@@ -17,7 +17,18 @@ from infogeo import (
     statistical_distance,
     unitary_from_params,
 )
-from infogeo.distmax import MAX_DIMENSION, _distance_after, _sweep, n_parameters
+from infogeo.distmax import (
+    _MIN_STEP,
+    MAX_DIMENSION,
+    _distance_after,
+    _fold,
+    _pair_order,
+    _refine,
+    _rotation,
+    _suffixes,
+    _table,
+    n_parameters,
+)
 from conftest import decimal_ray_angle
 
 E0 = ComplexState([1.0, 0.0])
@@ -107,8 +118,9 @@ def test_phase_coordinates_do_not_move_the_distance(n):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_sweep_candidates_match_the_reference_chart(n):
-    # replay one sweep of the incremental kernel under the search's own
-    # acceptance rule; every candidate's overlap is the full chart's
+    # replay one sweep of the candidate kernel (suffixes, prefix folds, one
+    # table per rotation) under the search's own acceptance rule; every
+    # candidate's overlap is the full chart's
     rng = np.random.default_rng(38)
     u, v = random_complex_state(n, rng), random_complex_state(n, rng)
     params = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
@@ -119,18 +131,90 @@ def test_sweep_candidates_match_the_reference_chart(n):
         return float(np.sum(np.abs(w @ u.v) * np.abs(w @ v.v)))
 
     best = reference(rot)
+    suffixes = _suffixes(np.stack((u.v, v.v), axis=1), rot)
+    p = np.eye(n, dtype=complex)
+    terms = np.empty((4, 2, n), dtype=complex)
     candidates = accepted = 0
-    for k, cand, val in _sweep(np.stack((u.v, v.v), axis=1), rot, 0.5):
-        trial = list(rot)
-        trial[k] = cand
-        assert abs(val - reference(trial)) <= 1e-13
-        candidates += 1
-        if val < best:
-            rot[k], best = cand, val
-            accepted += 1
+    for r, (i, j) in enumerate(_pair_order(n)):
+        _table(terms, p, suffixes[r + 1], i, j)
+        for k in (2 * r, 2 * r + 1):
+            for delta in (0.5, -0.5):
+                trial = list(rot)
+                trial[k] += delta
+                c, e = _rotation(trial[2 * r], trial[2 * r + 1])
+                mod = np.abs(np.array((1.0, c, e, -e.conjugate())) @ terms.reshape(4, 2 * n))
+                val = float(mod[:n] @ mod[n:])
+                assert abs(val - reference(trial)) <= 1e-13
+                candidates += 1
+                if val < best:
+                    rot[k], best = trial[k], val
+                    accepted += 1
+        _fold(p, i, j, *_rotation(rot[2 * r], rot[2 * r + 1]))
     # +-step on (theta, zeta) of each of the n(n-1)/2 rotations, no phases
     assert candidates == 4 * (n * (n - 1) // 2)
     assert accepted > 0
+
+
+def _reference_sweep(ab, rot, step):
+    """One sweep that rebuilds every rotation's table: yields (k, candidate
+    rot[k], overlap) in search order; the caller accepts a candidate by
+    writing it into rot[k] before asking for the next one."""
+    n = ab.shape[0]
+    suffixes = _suffixes(ab, rot)
+    p = np.eye(n, dtype=complex)
+    terms = np.empty((4, 2, n), dtype=complex)
+    flat = terms.reshape(4, 2 * n)
+    for r, (i, j) in enumerate(_pair_order(n)):
+        x = suffixes[r + 1]
+        x2 = x[(i, j), :]
+        pij = p[:, (i, j)]
+        touched = pij @ x2
+        terms[0] = (p @ x - touched).T
+        terms[1] = touched.T
+        terms[2] = x2[0, :, None] * pij[:, 1]
+        terms[3] = x2[1, :, None] * pij[:, 0]
+        for k in (2 * r, 2 * r + 1):
+            for delta in (step, -step):
+                cand = rot[k] + delta
+                if k == 2 * r:
+                    c, e = _rotation(cand, rot[k + 1])
+                else:
+                    c, e = _rotation(rot[k - 1], cand)
+                mod = np.abs(np.dot(np.array((1.0, c, e, -e.conjugate())), flat))
+                yield k, cand, float(np.dot(mod[:n], mod[n:]))
+        c, e = _rotation(rot[2 * r], rot[2 * r + 1])
+        p[:, i] = c * pij[:, 0] + e * pij[:, 1]
+        p[:, j] = c * pij[:, 1] - e.conjugate() * pij[:, 0]
+
+
+def _reference_refine(ab, rot, step):
+    mod = np.abs(_suffixes(ab, rot)[0])
+    best = float(np.dot(mod[:, 0], mod[:, 1]))
+    evaluations = 1
+    while step >= _MIN_STEP:
+        improved = False
+        for k, cand, val in _reference_sweep(ab, rot, step):
+            evaluations += 1
+            if val < best:
+                rot[k], best, improved = cand, val, True
+        if not improved:
+            step *= 0.5
+    return best, evaluations
+
+
+@pytest.mark.parametrize("n, pairs", [(2, 6), (3, 4), (4, 3), (8, 1)])
+def test_refine_reusing_tables_matches_rebuilding_every_sweep(n, pairs):
+    # a table is reused only while no other rotation has moved, so the whole
+    # descent (every accepted step, the best overlap, the evaluation count)
+    # is bit-identical to rebuilding each table every sweep
+    rng = np.random.default_rng(44)
+    for _ in range(pairs):
+        u, v = random_complex_state(n, rng), random_complex_state(n, rng)
+        ab = np.stack((u.v, v.v), axis=1)
+        rot = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n) - n).tolist()
+        ref_rot = list(rot)
+        assert _refine(ab, rot, 0.5) == _reference_refine(ab, ref_rot, 0.5)
+        assert rot == ref_rot
 
 
 @pytest.mark.parametrize("angle", [1e-6, 1e-8, 1e-10])
