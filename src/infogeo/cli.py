@@ -611,17 +611,11 @@ def _envelope_distances(rng: np.random.Generator, n: int, size: int):
         ab[1, k] = statespace._random_amplitudes(rng, n)
         z[k] = transforms._gaussian(np.random.default_rng(rng.integers(2**62)), (n, n), True)
     w = transforms._haar_from_gaussian(z)
-    defect = np.linalg.norm(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(n), axis=(-2, -1)).max()
-    if defect > transforms.STRUCTURAL_TOL:
-        raise NotUnitary(f"a Haar measurement deviates from unitary by {defect:.3e}")
+    transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
     # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
     sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
     simplex._check_rows(sq, "probs")
-    p, p2 = sq[1]
-    total = np.sqrt(p) + np.sqrt(p2)
-    diff = np.zeros_like(total)
-    np.divide(p - p2, total, out=diff, where=total > 0.0)
-    ds = np.array([simplex._angle_between(diff[k], total[k]) for k in range(size)])
+    ds = simplex._distance_rows(*sq[1])
     dh = np.array([distmax._hilbert_angle(ab[0, k], ab[1, k]) for k in range(size)])
     return ds, dh
 
@@ -725,29 +719,31 @@ def build_parser() -> argparse.ArgumentParser:
         "wootters": "maximal statistical distance vs Hilbert angle",
         "all": "run every battery",
     }
-    # option -> (add_argument keywords, help); every default lives in RunConfig
+    # option -> (add_argument keywords, help, the batteries that read it); `all`
+    # reads every option, and every default lives in RunConfig
     options = {
-        "n": ({"type": int}, "outcome dimension"),
-        "seed": ({"type": int}, "RNG seed; required for stochastic runs"),
-        "trials": ({"type": int}, "Monte Carlo trials (coin-distinguish)"),
-        "shots": ({"type": int}, "sampling shots (born-check)"),
-        "budget": ({"type": int}, "optimizer restarts (wootters)"),
-        "delta": ({"type": float}, "coin offset (coin-distinguish)"),
-        "pairs": ({"type": int}, "state pairs to optimize (wootters)"),
-        "draws": ({"type": int}, "random draws for batteries (correspondence, wootters)"),
-        "tangents": ({"type": int}, "random tangents per metric battery (metric-check)"),
-        "out": ({"type": str}, "report file path"),
-        "format": ({"choices": ("json", "csv")}, "report format"),
+        "n": ({"type": int}, "outcome dimension", _RUNNERS),
+        "seed": ({"type": int}, "RNG seed; required for stochastic runs", _RUNNERS),
+        "trials": ({"type": int}, "Monte Carlo trials", ("coin-distinguish",)),
+        "shots": ({"type": int}, "sampling shots", ("born-check",)),
+        "budget": ({"type": int}, "optimizer restarts", ("wootters",)),
+        "delta": ({"type": float}, "coin offset", ("coin-distinguish",)),
+        "pairs": ({"type": int}, "state pairs to optimize", ("wootters",)),
+        "draws": ({"type": int}, "random draws", ("correspondence", "wootters")),
+        "tangents": ({"type": int}, "random tangents per metric battery", ("metric-check",)),
+        "out": ({"type": str}, "report file path", _RUNNERS),
+        "format": ({"choices": ("json", "csv")}, "report format", _RUNNERS),
+        "tol-override": ({"type": _tol_override, "action": "append", "metavar": "NAME=VALUE"},
+                         "override the governing threshold of a named check", _RUNNERS),
     }
     for name, desc in descriptions.items():
         p = sub.add_parser(name, help=desc, description=desc,
                            argument_default=argparse.SUPPRESS)
-        for opt, (kw, text) in options.items():
-            p.add_argument(f"--{opt}", **kw,
-                           help=f"{text} (default {getattr(RunConfig, opt)})")
-        p.add_argument("--tol-override", type=_tol_override, action="append",
-                       metavar="NAME=VALUE",
-                       help="override the governing threshold of a named check")
+        for opt, (kw, text, readers) in options.items():
+            if name == "all" or name in readers:
+                if hasattr(RunConfig, opt):  # tol-override is no RunConfig field
+                    text += f" (default {getattr(RunConfig, opt)})"
+                p.add_argument(f"--{opt}", **kw, help=text)
     return parser
 
 

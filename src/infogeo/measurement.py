@@ -24,9 +24,10 @@ import numpy as np
 from .errors import DimensionMismatch, ImpossibleOutcome, ValidationError
 from .simplex import ProbDist, _vector
 from .statespace import ComplexState
-from .transforms import STRUCTURAL_TOL, require_unitary
+from .transforms import require_unitary
 
 _MIN_FORCEABLE_PROB = 1e-14
+REPRODUCIBILITY_TOL = 1e-12  # largest repeat defect of a reproducible arrangement
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +38,7 @@ class Measurement:
     phases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = require_unitary(self.u, STRUCTURAL_TOL)
+        arr = require_unitary(self.u)
         if arr.shape[0] < 2:
             raise ValidationError("a measurement needs at least 2 outcomes")
         arr = arr.copy()
@@ -149,28 +150,26 @@ def _repeat_defects(meas: Measurement, interaction: np.ndarray) -> np.ndarray:
 
 
 def simulability_roundtrip(
-    meas: Measurement,
-    interaction: np.ndarray | None = None,
-    tol: float = 1e-12,
+    meas: Measurement, interaction: np.ndarray | None = None
 ) -> SimulabilityResult:
     """Audit reproducibility of the arrangement closed by an output stage V.
 
     With the default V = u^{-1} the audit checks both directions: every
-    outcome reproduces itself with probability 1 within tol, and a tampered
-    stage (a rotation applied after u^{-1}) demonstrably breaks
-    reproducibility on a witnessed outcome.  Passing an explicit interaction
-    audits only that stage.
+    outcome reproduces itself with probability 1 within REPRODUCIBILITY_TOL,
+    and a tampered stage (a rotation applied after u^{-1}) demonstrably
+    breaks reproducibility on a witnessed outcome.  Passing an explicit
+    interaction audits only that stage.
     """
     if interaction is None:
         v_stage = meas.u.conj().T
     else:
-        v_stage = require_unitary(interaction, STRUCTURAL_TOL)
+        v_stage = require_unitary(interaction)
         if v_stage.shape != meas.u.shape:
             raise DimensionMismatch("interaction stage has wrong dimension")
 
     defects = _repeat_defects(meas, v_stage)
     repeat_defect = float(defects.max())
-    reproducible = repeat_defect <= tol
+    reproducible = repeat_defect <= REPRODUCIBILITY_TOL
 
     if interaction is not None:
         witness = None if reproducible else int(defects.argmax())

@@ -187,11 +187,17 @@ def statistical_distance(p: ProbDist, p2: ProbDist) -> float:
     relative precision as it tends to 0.  Equals 0 iff the distributions
     coincide and pi/2 iff their supports are disjoint.
     """
-    _check_same_dim(p.n, p2.n)
-    total = np.sqrt(p.probs) + np.sqrt(p2.probs)
+    return float(_distance_rows(p.probs[None], p2.probs[None])[0])
+
+
+def _distance_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
+    """statistical_distance of each row pair of (m, n) arrays of rows checked by
+    _check_rows; the norms run per row, as a stacked norm rounds differently."""
+    _check_same_dim(probs.shape[-1], probs2.shape[-1])
+    total = np.sqrt(probs) + np.sqrt(probs2)
     diff = np.zeros_like(total)
-    np.divide(p.probs - p2.probs, total, out=diff, where=total > 0.0)
-    return _angle_between(diff, total)
+    np.divide(probs - probs2, total, out=diff, where=total > 0.0)
+    return np.array([_angle_between(d, t) for d, t in zip(diff, total)])
 
 
 def _kl_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:

@@ -259,12 +259,10 @@ class MeasureInvarianceResult:
     measure_constant: float | None
 
 
-def measure_invariance_check(
-    theta_prime_samples, rel_tol: float = 1e-9
-) -> MeasureInvarianceResult:
+def measure_invariance_check(theta_prime_samples) -> MeasureInvarianceResult:
     """Check that sampled slope values theta'(chi) have constant magnitude.
 
-    Pass iff max|theta'| - min|theta'| <= rel_tol * mean|theta'|.  Raises
+    Pass iff max|theta'| - min|theta'| <= 1e-9 * mean|theta'|.  Raises
     EmptyGrid for fewer than two samples and ValidationError for non-finite
     samples or ones whose sum overflows.
     """
@@ -276,7 +274,7 @@ def measure_invariance_check(
         mean = float(arr.mean())
     if mean == math.inf:
         raise ValidationError("slope magnitudes sum past the float range")
-    passed = deviation <= rel_tol * mean
+    passed = deviation <= 1e-9 * mean
     constant = 1.0 / (TWO_PI * mean) if mean > 0.0 else None
     return MeasureInvarianceResult(passed, deviation, mean, constant)
 

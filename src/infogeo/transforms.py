@@ -34,30 +34,36 @@ from .statespace import DEFAULT_GAUGE, GaugeConvention, _interleave
 STRUCTURAL_TOL = 1e-10
 
 
-def _as_square_matrix(m, dtype, name: str) -> np.ndarray:
+def _as_square_matrix(m, dtype) -> np.ndarray:
     arr = np.asarray(m, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
+        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     return arr
 
 
-def require_orthogonal(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Validate m.T @ m = I within Frobenius tolerance; return m as ndarray."""
-    arr = _as_square_matrix(m, float, "matrix")
-    defect = np.linalg.norm(arr.T @ arr - np.eye(arr.shape[0]))
-    if defect > tol:
-        raise NotOrthogonal(f"m.T @ m deviates from I by {defect:.3e} (tol {tol:g})")
+def _require_isometries(m: np.ndarray, error: type, what: str) -> None:
+    """Raise error unless m^dagger @ m = I (m.T @ m for real m) within
+    Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, n) stack."""
+    # the Gram stack stays a temporary, freed before the norm's own temporaries
+    gram_minus_i = np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])
+    defect = np.linalg.norm(gram_minus_i, axis=(-2, -1)).max()
+    if defect > STRUCTURAL_TOL:
+        raise error(f"{what} deviates from I by {defect:.3e} (tol {STRUCTURAL_TOL:g})")
+
+
+def require_orthogonal(m) -> np.ndarray:
+    """Validate m.T @ m = I within Frobenius norm STRUCTURAL_TOL; return m as ndarray."""
+    arr = _as_square_matrix(m, float)
+    _require_isometries(arr, NotOrthogonal, "m.T @ m")
     return arr
 
 
-def require_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Validate u^dagger @ u = I within Frobenius tolerance; return u as ndarray."""
-    arr = _as_square_matrix(u, complex, "matrix")
-    defect = np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
-    if defect > tol:
-        raise NotUnitary(f"u^dagger @ u deviates from I by {defect:.3e} (tol {tol:g})")
+def require_unitary(u) -> np.ndarray:
+    """Validate u^dagger @ u = I within Frobenius norm STRUCTURAL_TOL; return u as ndarray."""
+    arr = _as_square_matrix(u, complex)
+    _require_isometries(arr, NotUnitary, "u^dagger @ u")
     return arr
 
 
@@ -105,59 +111,59 @@ def _block_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, phi
 
 
-def classify(m, tol: float = STRUCTURAL_TOL) -> Classification:
-    """Classify an orthogonal map by its commutation with J.
+def classify(m) -> Classification:
+    """Classify an orthogonal map by its commutation with J within STRUCTURAL_TOL.
 
     Raises NotOrthogonal for inputs failing m.T @ m = I within 1e-10.
     """
-    arr = require_orthogonal(m, tol)
+    arr = require_orthogonal(m)
     j = complex_structure(arr.shape[0])
     comm = float(np.linalg.norm(arr @ j - j @ arr))
     anti = float(np.linalg.norm(arr @ j + j @ arr))
-    if comm <= tol:
+    if comm <= STRUCTURAL_TOL:
         alpha, phi = _block_params(arr)
         return Classification(TransformKind.TYPE1, alpha, phi, 0, comm, anti)
-    if anti <= tol:
+    if anti <= STRUCTURAL_TOL:
         alpha, phi = _block_params(arr)
         return Classification(TransformKind.TYPE2, alpha, phi, 1, comm, anti)
     return Classification(TransformKind.NEITHER, None, None, None, comm, anti)
 
 
-def _to_complex_matrix(m, kind: TransformKind, tol: float) -> np.ndarray:
+def _to_complex_matrix(m, kind: TransformKind) -> np.ndarray:
     # classify validates orthogonality; both branches read u off the first
     # column of every block
     arr = np.asarray(m, dtype=float)
-    c = classify(arr, tol)
+    c = classify(arr)
     if c.kind is not kind:
         raise WrongType(f"map classifies as {c.kind.value}, not {kind.value}")
     return arr[0::2, 0::2] + 1j * arr[1::2, 0::2]
 
 
-def to_unitary(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def to_unitary(m) -> np.ndarray:
     """Complex N x N unitary of a Type1 map: u_ij = alpha_ij exp(1j phi_ij).
 
     Satisfies to_complex(m @ Q) = u @ to_complex(Q).  Raises WrongType for
     Type2 or unclassifiable maps.
     """
-    return _to_complex_matrix(m, TransformKind.TYPE1, tol)
+    return _to_complex_matrix(m, TransformKind.TYPE1)
 
 
-def to_antiunitary(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def to_antiunitary(m) -> np.ndarray:
     """Complex N x N matrix u of a Type2 map acting as v -> u @ conj(v).
 
     Satisfies to_complex(m @ Q) = u @ conj(to_complex(Q)).  Raises WrongType
     for Type1 or unclassifiable maps.
     """
-    return _to_complex_matrix(m, TransformKind.TYPE2, tol)
+    return _to_complex_matrix(m, TransformKind.TYPE2)
 
 
-def from_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def from_unitary(u) -> np.ndarray:
     """Real 2N x 2N Type1 map with blocks |u_ij| R(arg u_ij).
 
     Inverse of to_unitary up to floating error below 1e-12.  Raises
     NotUnitary for non-unitary input.
     """
-    arr = require_unitary(u, tol)
+    arr = require_unitary(u)
     n = arr.shape[0]
     m = np.empty((2 * n, 2 * n))
     m[0::2, 0::2] = arr.real
@@ -167,12 +173,12 @@ def from_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     return m
 
 
-def from_antiunitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def from_antiunitary(u) -> np.ndarray:
     """Real 2N x 2N Type2 map realizing v -> u @ conj(v) on amplitudes.
 
     The Type1 layout of u with every block reflected: odd columns negated.
     """
-    m = from_unitary(u, tol)
+    m = from_unitary(u)
     m[:, 1::2] *= -1.0
     return m
 
@@ -195,20 +201,19 @@ def gauge_invariance_probe(
     n_states: int = 32,
     n_shifts: int = 16,
     seed: int = 0,
-    tol: float = STRUCTURAL_TOL,
 ) -> ProbeResult:
     """Compare outcome probabilities of m @ Q before and after gauge shifts.
 
     For each sampled state Q (a RealState) and shift chi0, the coarse-grained
     outcome probabilities of m applied to Q and to the gauge-shifted Q are
     compared; the probe passes iff the worst absolute deviation is at most
-    tol.  When a violation exists the witnessing state and shift are
-    recorded (the first in state-major order among equal deviations).
+    STRUCTURAL_TOL.  When a violation exists the witnessing state and shift
+    are recorded (the first in state-major order among equal deviations).
     Defaults draw 32 uniform states and 16 shifts from the given seed.
     Raises ValidationError for empty or non-finite states or shifts and
     DimensionMismatch for states of another dimension than m.
     """
-    arr = _as_square_matrix(m, float, "matrix")
+    arr = _as_square_matrix(m, float)
     dim = arr.shape[0]
     if dim < 4 or dim % 2 != 0:
         raise ValidationError("map must act on an even dimension >= 4")
@@ -243,7 +248,7 @@ def gauge_invariance_probe(
     # row-major argmax: the first state, then the first shift, at the maximum
     i, k = np.unravel_index(devs.argmax(), devs.shape)
     worst = float(devs[i, k])
-    passed = worst <= tol
+    passed = worst <= STRUCTURAL_TOL
     witness = None
     if not passed:
         # a read-only copy, like RealState.q, not a view into the work array

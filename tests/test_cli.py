@@ -38,14 +38,33 @@ from infogeo.cli import (
 from infogeo.errors import NotUnitary, ValidationError
 from infogeo.reporting import array_from_json
 
-# small, fast battery sizes shared by most invocations
-FAST = [
-    "--trials", "500",
-    "--shots", "2000",
-    "--draws", "50",
-    "--pairs", "2",
-    "--tangents", "50",
-]
+# small, fast battery sizes, each command's slice holding the options it reads
+FAST = {
+    "coin-distinguish": ["--trials", "500"],
+    "metric-check": ["--tangents", "50"],
+    "correspondence": ["--draws", "50"],
+    "born-check": ["--shots", "2000"],
+    "wootters": ["--pairs", "2", "--draws", "50"],
+    "all": ["--trials", "500", "--shots", "2000", "--draws", "50", "--pairs", "2",
+            "--tangents", "50"],
+}
+
+# a valid value of every option
+EVERY_OPTION = {
+    "--n": "3", "--seed": "5", "--trials": "10", "--shots": "20", "--budget": "3",
+    "--delta": "0.01", "--pairs": "4", "--draws": "6", "--tangents": "7",
+    "--format": "csv", "--out": "x.csv", "--tol-override": "max_gap=0.1",
+}
+
+# the options each battery does not read, and so does not accept
+UNREAD = {
+    "coin-distinguish": ["--shots", "--budget", "--pairs", "--draws", "--tangents"],
+    "metric-check": ["--trials", "--delta", "--shots", "--budget", "--pairs", "--draws"],
+    "correspondence": ["--trials", "--delta", "--shots", "--budget", "--pairs", "--tangents"],
+    "born-check": ["--trials", "--delta", "--budget", "--pairs", "--draws", "--tangents"],
+    "wootters": ["--trials", "--delta", "--shots", "--tangents"],
+}
+UNREAD_PAIRS = [(command, opt) for command, opts in UNREAD.items() for opt in opts]
 
 
 def run(argv, capsys):
@@ -106,17 +125,33 @@ def test_seed_requirement():
     RunConfig("coin-distinguish", trials=0).validate()  # deterministic run
 
 
-def test_parser_accepts_all_flags():
-    args = build_parser().parse_args(
-        [
-            "wootters", "--n", "3", "--seed", "5", "--trials", "10", "--shots",
-            "20", "--budget", "3", "--delta", "0.01", "--pairs", "4", "--draws",
-            "6", "--tangents", "7", "--format", "csv", "--out", "x.csv",
-            "--tol-override", "max_gap=0.1",
-        ]
-    )
-    assert args.command == "wootters" and args.n == 3 and args.seed == 5
-    assert args.tol_override == [("max_gap", 0.1)]
+def test_all_accepts_every_option():
+    args = build_parser().parse_args(["all", *(x for kv in EVERY_OPTION.items() for x in kv)])
+    assert vars(args) == {
+        "command": "all", "n": 3, "seed": 5, "trials": 10, "shots": 20, "budget": 3,
+        "delta": 0.01, "pairs": 4, "draws": 6, "tangents": 7, "format": "csv",
+        "out": "x.csv", "tol_override": [("max_gap", 0.1)],
+    }
+
+
+def test_each_battery_accepts_the_options_it_reads():
+    accepted = len(EVERY_OPTION)  # all's
+    for command, unread in UNREAD.items():
+        read = [x for kv in EVERY_OPTION.items() if kv[0] not in unread for x in kv]
+        args = vars(build_parser().parse_args([command, *read]))
+        assert len(args) - 1 == len(EVERY_OPTION) - len(unread)
+        accepted += len(args) - 1
+    assert (accepted, len(UNREAD_PAIRS)) == (45, 27)
+
+
+@pytest.mark.parametrize("command, option", UNREAD_PAIRS)
+def test_unread_option_is_a_usage_error(command, option, capsys):
+    # argparse exits before main builds a config or runs a battery
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", option, EVERY_OPTION[option]])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {option} {EVERY_OPTION[option]}" in captured.err
 
 
 def test_parser_usage_errors_exit_two():
@@ -160,7 +195,7 @@ def test_bad_n_exits_two(capsys):
 
 
 def test_passing_battery_exits_zero(capsys):
-    code, out, err = run(["metric-check", "--seed", "1"] + FAST, capsys)
+    code, out, err = run(["metric-check", "--seed", "1", *FAST["metric-check"]], capsys)
     assert code == 0
     assert json.loads(out)["overall_passed"] is True
     assert "PASS metric-check" in err
@@ -168,7 +203,7 @@ def test_passing_battery_exits_zero(capsys):
 
 def test_forced_failure_exits_one(capsys):
     code, out, err = run(
-        ["metric-check", "--seed", "1", *FAST,
+        ["metric-check", "--seed", "1", *FAST["metric-check"],
          "--tol-override", "embed_distance_identity_max=0"],
         capsys,
     )
@@ -232,8 +267,11 @@ def assert_exit_contract(argv):
     shots=st.integers(0, 1000) | st.just(2**63),
 )
 def test_fast_commands_end_in_an_exit_code(command, n, seed, f, trials, shots):
-    assert_exit_contract([command, "--n", str(n), "--seed", str(seed), "--delta", repr(f / n),
-                          "--trials", str(trials), "--shots", str(shots)])
+    reads = {
+        "coin-distinguish": ["--delta", repr(f / n), "--trials", str(trials)],
+        "born-check": ["--shots", str(shots)],
+    }
+    assert_exit_contract([command, "--n", str(n), "--seed", str(seed), *reads[command]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,8 +295,11 @@ def test_metric_check_ends_in_an_exit_code(n, tangents, seed):
     seed=st.integers(0, 2**32 - 1) | st.integers(-(2**63), -1),
 )
 def test_state_commands_end_in_an_exit_code(command, n, pairs, draws, budget, seed):
-    assert_exit_contract([command, "--n", str(n), "--pairs", str(pairs), "--draws", str(draws),
-                          "--budget", str(budget), "--seed", str(seed)])
+    reads = {
+        "correspondence": ["--draws", str(draws)],
+        "wootters": ["--pairs", str(pairs), "--draws", str(draws), "--budget", str(budget)],
+    }
+    assert_exit_contract([command, "--n", str(n), *reads[command], "--seed", str(seed)])
 
 
 def test_parser_leaves_defaults_to_run_config():
@@ -272,18 +313,19 @@ def test_parser_leaves_defaults_to_run_config():
 
 def test_report_echoes_full_config(capsys):
     code, out, _ = run(
-        ["born-check", "--seed", "9", "--n", "3", *FAST], capsys
+        ["born-check", "--seed", "9", "--n", "3", *FAST["born-check"]], capsys
     )
     assert code == 0
     cfg = json.loads(out)["config"]
     assert cfg["command"] == "born-check"
     assert cfg["n"] == 3 and cfg["seed"] == 9
-    assert cfg["shots"] == 2000 and cfg["trials"] == 500
+    # options the battery does not read are echoed at their defaults
+    assert cfg["shots"] == 2000 and cfg["trials"] == RunConfig.trials
     assert cfg["tol_overrides"] == {}
 
 
 def test_identical_configs_are_byte_identical_apart_from_duration(capsys):
-    argv = ["correspondence", "--seed", "4", *FAST]
+    argv = ["correspondence", "--seed", "4", *FAST["correspondence"]]
     _, out1, _ = run(argv, capsys)
     _, out2, _ = run(argv, capsys)
 
@@ -296,7 +338,7 @@ def test_identical_configs_are_byte_identical_apart_from_duration(capsys):
 
 def test_csv_format(capsys):
     code, out, _ = run(
-        ["wootters", "--seed", "3", "--format", "csv", *FAST], capsys
+        ["wootters", "--seed", "3", "--format", "csv", *FAST["wootters"]], capsys
     )
     assert code == 0
     lines = out.splitlines()
@@ -324,7 +366,8 @@ def test_wootters_reports_worst_pair_measurement_at_zero_gap(capsys):
 def test_out_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, err = run(
-        ["coin-distinguish", "--seed", "2", *FAST, "--out", str(path)], capsys
+        ["coin-distinguish", "--seed", "2", *FAST["coin-distinguish"], "--out", str(path)],
+        capsys,
     )
     assert code == 0
     assert out == ""  # report goes to the file, not stdout
@@ -343,7 +386,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
 
 
 def test_all_aggregates_every_battery(capsys):
-    code, out, _ = run(["all", "--seed", "6", *FAST], capsys)
+    code, out, _ = run(["all", "--seed", "6", *FAST["all"]], capsys)
     assert code == 0
     report = json.loads(out)
     names = {c["name"] for c in report["checks"]}
@@ -360,7 +403,7 @@ def test_all_aggregates_every_battery(capsys):
 
 
 def test_correspondence_reports_haar_witness_and_degenerate_note(capsys):
-    code, out, _ = run(["correspondence", "--seed", "8", *FAST], capsys)
+    code, out, _ = run(["correspondence", "--seed", "8", *FAST["correspondence"]], capsys)
     assert code == 0
     report = json.loads(out)
     witness = report["details"]["first_haar_witness"]

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infogeo import (
@@ -43,15 +44,16 @@ def dists(n: int):
     ).map(ProbDist.renormalized)
 
 
-def tangents(n: int, scale: float = 1e-3):
-    def center(values):
-        d = np.asarray(values)
-        d -= d.mean()
-        return TangentVec(scale * d)
+def center(values, scale: float = 1e-3) -> TangentVec:
+    d = np.asarray(values)
+    d -= d.mean()
+    return TangentVec(scale * d)
 
+
+def tangents(n: int, scale: float = 1e-3):
     return st.lists(
         st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n
-    ).map(center)
+    ).map(lambda values: center(values, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +140,24 @@ def test_fisher_quadratic_nonnegative(p, dp):
 
 
 @given(dists(3), tangents(3))
+@example(ProbDist.renormalized([1.0, 1.0, 1.0]), center([0.0, 0.0, 1.1296827416944867e-157]))
 def test_fisher_quadratic_doubling_is_exact(p, dp):
-    d2 = TangentVec(2.0 * dp.deltas)
-    assert fisher_quadratic(p, d2) == 4.0 * fisher_quadratic(p, dp)
+    quad = fisher_quadratic(p, dp)
+    quad2 = fisher_quadratic(p, TangentVec(2.0 * dp.deltas))
+    moving = dp.deltas != 0.0
+    squares = dp.deltas[moving] ** 2
+    terms = [*squares, *(squares / p.probs[moving]), quad]
+    if all(t >= sys.float_info.min for t in terms):
+        # doubling scales every square, quotient and sum by a power of 2,
+        # which is exact while they are all normal
+        assert quad2 == 4.0 * quad
+    else:
+        # a subnormal square, quotient or quadratic form is rounded to the
+        # spacing 2**-1074, magnified up to 1/min(p) by the division; the
+        # sums round once more
+        spacing = 2.0**-1074
+        bound = (p.n + 3) * spacing * (1.0 + 1.0 / p.probs.min()) + 4 * p.n * 2.0**-53 * quad2
+        assert abs(quad2 - 4.0 * quad) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +254,21 @@ def test_kl_divergence_nonnegative(a, b):
 
 @settings(max_examples=50)
 @given(dists(4), tangents(4, scale=1.0))
+@example(
+    ProbDist.renormalized([0.0625, 0.0625, 1.0, 0.15625]),
+    center([1.0, 0.0625, 0.875, 0.15625], scale=1.0),
+)
 def test_kl_matches_quadratic_form_to_cubic_order(p, direction):
-    # KL(p, p + eps d) - 2 * ds^2(eps d) shrinks at least ~8x per eps halving
-    errs = []
+    # KL(p, p + d) = 2 ds^2(d) - sum d^3 / (3 p^2) + R with |R| <= sum d^4 / (2 p^3)
+    # while every |d / p| <= 0.159 (here <= 0.13), plus rounding of the
+    # logarithms and of p + d, ~2**-53 each
     for eps in (1e-3, 5e-4):
         dp = TangentVec(eps * direction.deltas)
         p2 = ProbDist(p.probs + dp.deltas)
-        errs.append(abs(kl_divergence(p, p2) - 2.0 * fisher_quadratic(p, dp)))
-    assert errs[1] <= 0.2 * errs[0] + 1e-14
+        d, q = dp.deltas, p.probs
+        cubic = np.sum(d**3 / q**2) / 3.0
+        remainder = kl_divergence(p, p2) - 2.0 * fisher_quadratic(p, dp) + cubic
+        assert abs(remainder) <= 0.5 * np.sum(d**4 / q**3) + p.n * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

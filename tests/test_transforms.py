@@ -34,6 +34,7 @@ from infogeo import (
     to_unitary,
     transforms,
 )
+from infogeo.transforms import STRUCTURAL_TOL, _require_isometries
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -174,8 +175,21 @@ def test_conversion_roundtrips_are_exact():
 def test_constructed_maps_are_orthogonal():
     for seed in range(10):
         u = random_unitary(4, seed)
-        require_orthogonal(from_unitary(u), tol=1e-12)
-        require_orthogonal(from_antiunitary(u), tol=1e-12)
+        for m in (from_unitary(u), from_antiunitary(u)):
+            require_orthogonal(m)
+            assert np.linalg.norm(m.T @ m - np.eye(8)) <= 1e-12
+
+
+def test_isometry_check_covers_every_matrix_of_a_stack():
+    stack = np.stack([random_unitary(3, seed) for seed in range(4)])
+    _require_isometries(stack, NotUnitary, "stack")
+    stack[2] *= 1.001
+    defect = np.linalg.norm(stack[2].conj().T @ stack[2] - np.eye(3))
+    assert STRUCTURAL_TOL < defect < 1e-2
+    with pytest.raises(NotUnitary, match=f"stack deviates from I by {defect:.3e}"):
+        _require_isometries(stack, NotUnitary, "stack")
+    with pytest.raises(NotUnitary, match=f"deviates from I by {defect:.3e}"):
+        require_unitary(stack[2])
 
 
 def test_wrong_type_conversions_raise():
