@@ -23,7 +23,7 @@ import numpy as np
 
 from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError, ZeroLikelihoodBoth
-from .simplex import ProbDist, TangentVec, _vector, fisher_quadratic, kl_divergence
+from .simplex import ProbDist, TangentVec, _integer, _vector, fisher_quadratic, kl_divergence
 
 # An uncertainty function on a binary distribution (pi_a, pi_b).  Must be
 # symmetric in its arguments and maximal at (1/2, 1/2).
@@ -53,7 +53,8 @@ class CoinExperiment:
     def __post_init__(self) -> None:
         if self.p.n != self.p2.n:
             raise DimensionMismatch(f"coin dimensions differ: {self.p.n} vs {self.p2.n}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        if self.n < 0:
             raise ValidationError("n must be a nonnegative integer")
         if not 0.0 < self.prior_a < 1.0:
             raise ValidationError("prior_a must lie strictly between 0 and 1")
@@ -184,6 +185,7 @@ def monte_carlo_gain(
     SeedSequence(seed).spawn(trials)[t], so results are reproducible bit for
     bit at a fixed seed and stable under batching.
     """
+    trials = _integer(trials, "trials")
     if trials <= 0:
         raise ValidationError("trials must be positive")
     if exp.n > np.iinfo(np.int64).max:

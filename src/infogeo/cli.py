@@ -19,17 +19,7 @@ import numpy as np
 from . import bayes, distmax, measurement, simplex, statespace, transforms
 from ._streams import substreams
 from .errors import InfoGeoError, NotOrthogonal, NotUnitary, ValidationError
-from .reporting import (
-    Report,
-    array_to_json,
-    check_ge,
-    check_le,
-    check_within,
-    format_float,
-    render_report,
-)
-
-_STOCHASTIC_ALWAYS = {"metric-check", "correspondence", "born-check", "wootters", "all"}
+from .reporting import Report, array_to_json, format_float, render_report
 
 # Size caps, checked before a battery allocates anything, so a huge value exits
 # 2 instead of ending in a MemoryError.  Each keeps the largest run it allows
@@ -97,9 +87,7 @@ class RunConfig:
             raise ValidationError("--delta is too small to move 1/n: the two coins coincide")
         if self.format not in ("json", "csv"):
             raise ValidationError("--format must be json or csv")
-        needs_seed = self.command in _STOCHASTIC_ALWAYS or (
-            self.command == "coin-distinguish" and self.trials > 0
-        )
+        needs_seed = self.command != "coin-distinguish" or self.trials > 0
         if needs_seed and self.seed is None:
             raise ValidationError(
                 f"--seed is required for stochastic runs of {self.command!r}"
@@ -125,7 +113,6 @@ def _tosses_for_signal(target: float, ds2: float) -> int:
 
 
 def run_coin_distinguish(cfg: RunConfig) -> Report:
-    ov = cfg.tol_overrides
     report = Report("coin-distinguish", cfg.echo())
     p, p2, dp = _uniform_coin_pair(cfg.n, cfg.delta)
     ds2 = simplex.fisher_quadratic(p, dp)
@@ -141,25 +128,15 @@ def run_coin_distinguish(cfg: RunConfig) -> Report:
             {"signal": tosses * ds2, "tosses": tosses, "exact": exact,
              "approx": approx, "ratio": ratio}
         )
-        report.checks.append(
-            check_within(f"gain_ratio_at_{target:g}", ratio, 1.0, band, ov)
-        )
+        report.within(f"gain_ratio_at_{target:g}", ratio, 1.0, band)
 
     tosses_w = _tosses_for_signal(0.1, ds2)
     exp_w = bayes.CoinExperiment(p, p2, tosses_w)
-    report.checks.append(
-        check_within("worked_point_exact_gain", bayes.info_gain_exact(exp_w),
-                     0.00498, 1e-5, ov)
-    )
-    report.checks.append(
-        check_within("worked_point_approx_gain", bayes.info_gain_approx(exp_w),
-                     0.005, 1e-5, ov)
-    )
+    report.within("worked_point_exact_gain", bayes.info_gain_exact(exp_w), 0.00498, 1e-5)
+    report.within("worked_point_approx_gain", bayes.info_gain_approx(exp_w), 0.005, 1e-5)
 
     exp_same = bayes.CoinExperiment(p, p, tosses_w)
-    report.checks.append(
-        check_le("equal_coins_exact_gain", bayes.info_gain_exact(exp_same), 0.0, ov)
-    )
+    report.le("equal_coins_exact_gain", bayes.info_gain_exact(exp_same), 0.0)
 
     details: dict = {
         "ds2_per_toss": ds2,
@@ -173,10 +150,8 @@ def run_coin_distinguish(cfg: RunConfig) -> Report:
         summary = bayes.monte_carlo_gain(exp_mc, cfg.trials, cfg.seed)
         exact_mc = bayes.info_gain_exact(exp_mc)
         diff = abs(summary.gain_at_mean_posterior - exact_mc)
-        report.checks.append(
-            check_le("monte_carlo_gain_abs_error", diff,
-                     3.0 * summary.stderr_gain_at_mean_posterior, ov)
-        )
+        report.le("monte_carlo_gain_abs_error", diff,
+                  3.0 * summary.stderr_gain_at_mean_posterior)
         details["monte_carlo"] = dict(asdict(summary), tosses=tosses_mc,
                                       exact_gain=exact_mc)
     report.details = details
@@ -237,7 +212,6 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
 
 
 def run_metric_check(cfg: RunConfig) -> Report:
-    ov = cfg.tol_overrides
     report = Report("metric-check", cfg.echo())
     rng = np.random.default_rng(cfg.seed)
     epsilons = (1e-2, 5e-3, 2.5e-3)
@@ -249,10 +223,10 @@ def run_metric_check(cfg: RunConfig) -> Report:
             math.log2(errs[k] / errs[k + 1]) for k in range(len(epsilons) - 1)
         )
         orders[n] = order
-        report.checks.append(check_ge(f"kl_fisher_order_n{n}", order, 2.7, ov))
+        report.ge(f"kl_fisher_order_n{n}", order, 2.7)
 
     worst_pullback = _worst_pullback(rng, cfg.n, cfg.tangents)
-    report.checks.append(check_le("event_metric_pullback_max", worst_pullback, 1e-10, ov))
+    report.le("event_metric_pullback_max", worst_pullback, 1e-10)
 
     worst_embed = 0.0
     worst_triangle = 0.0
@@ -280,9 +254,9 @@ def run_metric_check(cfg: RunConfig) -> Report:
             worst_scaling,
             abs(simplex.fisher_quadratic(p_in, d2) - 4.0 * simplex.fisher_quadratic(p_in, d1)),
         )
-    report.checks.append(check_le("embed_distance_identity_max", worst_embed, 1e-12, ov))
-    report.checks.append(check_le("triangle_inequality_max_violation", worst_triangle, 1e-12, ov))
-    report.checks.append(check_le("quadratic_scaling_max_error", worst_scaling, 1e-15, ov))
+    report.le("embed_distance_identity_max", worst_embed, 1e-12)
+    report.le("triangle_inequality_max_violation", worst_triangle, 1e-12)
+    report.le("quadratic_scaling_max_error", worst_scaling, 1e-15)
 
     worst_polar = 0.0
     for _ in range(200):
@@ -300,21 +274,15 @@ def run_metric_check(cfg: RunConfig) -> Report:
         quad = statespace.polar_metric_quadratic(ps, dp, dtheta, gauge, dchi)
         dq = statespace.polar_pushforward(ps, dp, dtheta + gauge.a * dchi)
         worst_polar = max(worst_polar, abs(quad - float(dq @ dq)))
-    report.checks.append(check_le("polar_metric_consistency_max", worst_polar, 1e-10, ov))
+    report.le("polar_metric_consistency_max", worst_polar, 1e-10)
 
     grid = np.linspace(0.0, 1.0, 101)
     slope = float(rng.uniform(0.5, 3.0))
     affine = statespace.measure_invariance_check(np.full(grid.size, slope))
-    report.checks.append(
-        check_within("measure_affine_passes", float(affine.passed), 1.0, 0.0, ov)
-    )
+    report.within("measure_affine_passes", float(affine.passed), 1.0, 0.0)
     quadratic = statespace.measure_invariance_check(2.0 * grid)
-    report.checks.append(
-        check_within("measure_quadratic_flagged", float(not quadratic.passed), 1.0, 0.0, ov)
-    )
-    report.checks.append(
-        check_within("measure_quadratic_deviation", quadratic.deviation, 2.0, 1e-12, ov)
-    )
+    report.within("measure_quadratic_flagged", float(not quadratic.passed), 1.0, 0.0)
+    report.within("measure_quadratic_deviation", quadratic.deviation, 2.0, 1e-12)
 
     report.details = {
         "kl_fisher_orders": {f"n{k}": v for k, v in orders.items()},
@@ -328,7 +296,6 @@ def run_metric_check(cfg: RunConfig) -> Report:
 
 
 def run_correspondence(cfg: RunConfig) -> Report:
-    ov = cfg.tol_overrides
     report = Report("correspondence", cfg.echo())
     n = cfg.n
     dim = 2 * n
@@ -387,20 +354,14 @@ def run_correspondence(cfg: RunConfig) -> Report:
         probe_dev_t1 = max(probe_dev_t1, probe1.max_deviation)
         probe_dev_t2 = max(probe_dev_t2, probe2.max_deviation)
 
-    report.checks.append(
-        check_within("constructed_type1_classified_fraction",
-                     type1_hits / constructed, 1.0, 0.0, ov)
-    )
-    report.checks.append(
-        check_within("constructed_type2_classified_fraction",
-                     type2_hits / constructed, 1.0, 0.0, ov)
-    )
-    report.checks.append(check_le("type1_unitarity_max_defect", unitarity_defect, 1e-10, ov))
-    report.checks.append(check_le("conversion_roundtrip_max", roundtrip_defect, 1e-12, ov))
-    report.checks.append(check_le("equivariance_max_defect", equivariance_defect, 1e-10, ov))
-    report.checks.append(check_le("gauge_probe_type1_max_dev", probe_dev_t1, 1e-10, ov))
-    report.checks.append(check_le("gauge_probe_type2_max_dev", probe_dev_t2, 1e-10, ov))
-    report.checks.append(check_ge("type2_identity_distance_min", identity_distance, 1e-6, ov))
+    report.within("constructed_type1_classified_fraction", type1_hits / constructed, 1.0, 0.0)
+    report.within("constructed_type2_classified_fraction", type2_hits / constructed, 1.0, 0.0)
+    report.le("type1_unitarity_max_defect", unitarity_defect, 1e-10)
+    report.le("conversion_roundtrip_max", roundtrip_defect, 1e-12)
+    report.le("equivariance_max_defect", equivariance_defect, 1e-10)
+    report.le("gauge_probe_type1_max_dev", probe_dev_t1, 1e-10)
+    report.le("gauge_probe_type2_max_dev", probe_dev_t2, 1e-10)
+    report.ge("type2_identity_distance_min", identity_distance, 1e-6)
 
     closure_violations = 0
     for _ in range(25):
@@ -417,9 +378,7 @@ def run_correspondence(cfg: RunConfig) -> Report:
         for prod, kind in expected:
             if transforms.classify(prod).kind is not kind:
                 closure_violations += 1
-    report.checks.append(
-        check_within("closure_sign_rule_violations", float(closure_violations), 0.0, 0.0, ov)
-    )
+    report.within("closure_sign_rule_violations", float(closure_violations), 0.0, 0.0)
 
     # flip beta on block (0, 0) only; sign-flipping part of one column breaks
     # orthogonality for any dense unitary
@@ -432,9 +391,7 @@ def run_correspondence(cfg: RunConfig) -> Report:
         mixed_rejected = 0.0
     except NotOrthogonal:
         mixed_rejected = 1.0
-    report.checks.append(
-        check_within("mixed_beta_rejected", mixed_rejected, 1.0, 0.0, ov)
-    )
+    report.within("mixed_beta_rejected", mixed_rejected, 1.0, 0.0)
 
     neither_hits = 0
     probe_failures = 0
@@ -460,22 +417,16 @@ def run_correspondence(cfg: RunConfig) -> Report:
             metric_dev,
             abs(float(np.linalg.norm(m @ qa - m @ qb)) - float(np.linalg.norm(qa - qb))),
         )
-    report.checks.append(
-        check_within("haar_neither_fraction", neither_hits / cfg.draws, 1.0, 0.0, ov)
-    )
-    report.checks.append(
-        check_within("haar_probe_failure_fraction", probe_failures / cfg.draws, 1.0, 0.0, ov)
-    )
-    report.checks.append(check_le("metric_invariance_max_dev", metric_dev, 1e-12, ov))
+    report.within("haar_neither_fraction", neither_hits / cfg.draws, 1.0, 0.0)
+    report.within("haar_probe_failure_fraction", probe_failures / cfg.draws, 1.0, 0.0)
+    report.le("metric_invariance_max_dev", metric_dev, 1e-12)
 
     small = sum(
         transforms.classify(transforms.random_orthogonal(2, rng.integers(2**62))).kind
         is not transforms.TransformKind.NEITHER
         for _ in range(64)
     )
-    report.checks.append(
-        check_within("two_by_two_all_classified", small / 64.0, 1.0, 0.0, ov)
-    )
+    report.within("two_by_two_all_classified", small / 64.0, 1.0, 0.0)
     report.notes.append(
         "2x2 maps are degenerate: every orthogonal map on a single outcome pair "
         "is a rotation (Type1) or a reflection (Type2); Neither requires 2N >= 4."
@@ -494,7 +445,6 @@ def run_correspondence(cfg: RunConfig) -> Report:
 
 
 def run_born_check(cfg: RunConfig) -> Report:
-    ov = cfg.tol_overrides
     report = Report("born-check", cfg.echo())
     n = cfg.n
     rng = np.random.default_rng(cfg.seed)
@@ -527,31 +477,23 @@ def run_born_check(cfg: RunConfig) -> Report:
         audit = measurement.simulability_roundtrip(meas)
         repeat_defect = max(repeat_defect, audit.repeat_defect)
         simulable += audit.passed
-    report.checks.append(check_le("born_rule_max_error", born_err, 1e-12, ov))
-    report.checks.append(check_le("completeness_max_error", completeness_err, 1e-12, ov))
-    report.checks.append(check_le("phase_invariance_max", phase_err, 1e-14, ov))
-    report.checks.append(check_le("reproducibility_max_defect", repeat_defect, 1e-12, ov))
-    report.checks.append(
-        check_within("simulability_pass_fraction", simulable / 50.0, 1.0, 0.0, ov)
-    )
+    report.le("born_rule_max_error", born_err, 1e-12)
+    report.le("completeness_max_error", completeness_err, 1e-12)
+    report.le("phase_invariance_max", phase_err, 1e-14)
+    report.le("reproducibility_max_defect", repeat_defect, 1e-12)
+    report.within("simulability_pass_fraction", simulable / 50.0, 1.0, 0.0)
 
     tampered = measurement.simulability_roundtrip(
         measurements[0], interaction=np.eye(n, dtype=complex)
     )
-    report.checks.append(
-        check_within("wrong_stage_detected", float(not tampered.passed), 1.0, 0.0, ov)
-    )
+    report.within("wrong_stage_detected", float(not tampered.passed), 1.0, 0.0)
 
     meas_s = measurements[0]
     eig = statespace.ComplexState(meas_s.basis()[:, 1])
     eig_dist = measurement.outcome_distribution(meas_s, eig)
-    report.checks.append(
-        check_le("eigenstate_probability_error", abs(float(eig_dist.probs[1]) - 1.0), 1e-12, ov)
-    )
+    report.le("eigenstate_probability_error", abs(float(eig_dist.probs[1]) - 1.0), 1e-12)
     eig_counts = measurement.sample_outcomes(meas_s, eig, 1000, int(rng.integers(2**62)))
-    report.checks.append(
-        check_within("eigenstate_counts_off_target", float(1000 - eig_counts[1]), 0.0, 0.0, ov)
-    )
+    report.within("eigenstate_counts_off_target", float(1000 - eig_counts[1]), 0.0, 0.0)
 
     v_s = statespace.random_complex_state(n, rng)
     dist_s = measurement.outcome_distribution(meas_s, v_s)
@@ -561,19 +503,15 @@ def run_born_check(cfg: RunConfig) -> Report:
         spread = cfg.shots * dist_s.probs[i] * (1.0 - dist_s.probs[i])
         if spread > 0.0:
             zmax = max(zmax, abs(counts[i] - cfg.shots * dist_s.probs[i]) / math.sqrt(spread))
-    report.checks.append(check_le("count_zscore_max", zmax, 3.0, ov))
-    report.checks.append(
-        check_within("counts_sum_error", float(int(counts.sum()) - cfg.shots), 0.0, 0.0, ov)
-    )
+    report.le("count_zscore_max", zmax, 3.0)
+    report.within("counts_sum_error", float(int(counts.sum()) - cfg.shots), 0.0, 0.0)
 
     try:
         measurement.apply_measurement(meas_s, eig, forced_outcome=0)
         impossible_raised = 0.0
     except measurement.ImpossibleOutcome:
         impossible_raised = 1.0
-    report.checks.append(
-        check_within("impossible_outcome_raises", impossible_raised, 1.0, 0.0, ov)
-    )
+    report.within("impossible_outcome_raises", impossible_raised, 1.0, 0.0)
 
     record = measurement.apply_measurement(meas_s, v_s, seed=int(rng.integers(2**62)))
     report.details = {
@@ -621,7 +559,6 @@ def _envelope_distances(rng: np.random.Generator, n: int, size: int):
 
 
 def run_wootters(cfg: RunConfig) -> Report:
-    ov = cfg.tol_overrides
     report = Report("wootters", cfg.echo())
     n = cfg.n
     rng = np.random.default_rng(cfg.seed)
@@ -648,15 +585,15 @@ def run_wootters(cfg: RunConfig) -> Report:
         if worst_pair is None or res.gap > max_gap:
             max_gap = res.gap
             worst_pair = res
-    report.checks.append(check_le("max_gap", max_gap, gap_bound, ov))
-    report.checks.append(check_le("certified_minus_max_ds", cert_minus_max, 1e-9, ov))
-    report.checks.append(check_le("certified_minus_hilbert", cert_minus_hilbert, 1e-9, ov))
+    report.le("max_gap", max_gap, gap_bound)
+    report.le("certified_minus_max_ds", cert_minus_max, 1e-9)
+    report.le("certified_minus_hilbert", cert_minus_hilbert, 1e-9)
 
     envelope = -math.inf
     for start in range(0, cfg.draws, _ENVELOPE_CHUNK):
         ds, dh = _envelope_distances(rng, n, min(_ENVELOPE_CHUNK, cfg.draws - start))
         envelope = max(envelope, float(np.max(ds - dh)))
-    report.checks.append(check_le("envelope_max_violation", envelope, 1e-9, ov))
+    report.le("envelope_max_violation", envelope, 1e-9)
 
     report.details = {
         "pair_table": pair_table,
@@ -707,6 +644,7 @@ def _tol_override(text: str) -> tuple[str, float]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infogeo",
+        allow_abbrev=False,
         description="Seeded verification batteries for information-geometric "
         "state spaces; reports are written as JSON or CSV.",
     )
@@ -738,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, desc in descriptions.items():
         p = sub.add_parser(name, help=desc, description=desc,
-                           argument_default=argparse.SUPPRESS)
+                           argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for opt, (kw, text, readers) in options.items():
             if name == "all" or name in readers:
                 if hasattr(RunConfig, opt):  # tol-override is no RunConfig field

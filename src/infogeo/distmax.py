@@ -46,7 +46,7 @@ import numpy as np
 from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
-from .simplex import _angle_between, _vector
+from .simplex import _angle_between, _integer, _vector
 from .statespace import ComplexState
 from .transforms import _haar
 
@@ -251,6 +251,7 @@ def maximize_statistical_distance(
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
     if u.n > MAX_DIMENSION:
         raise ValidationError(f"dimension {u.n} exceeds the supported cap {MAX_DIMENSION}")
+    budget = _integer(budget, "budget")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     n = u.n
@@ -294,6 +295,7 @@ def certify_upper_bound(
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)

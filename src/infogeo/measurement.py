@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ImpossibleOutcome, ValidationError
-from .simplex import ProbDist, _vector
+from .simplex import ProbDist, _integer, _vector
 from .statespace import ComplexState
 from .transforms import require_unitary
 
@@ -94,6 +94,7 @@ def apply_measurement(
         probs = dist.probs / dist.probs.sum()
         outcome = int(rng.choice(meas.n, p=probs))
     else:
+        forced_outcome = _integer(forced_outcome, "forced_outcome")
         if not 0 <= forced_outcome < meas.n:
             raise ValidationError(
                 f"forced_outcome {forced_outcome} outside 0..{meas.n - 1}"
@@ -103,7 +104,7 @@ def apply_measurement(
                 f"outcome {forced_outcome} has probability "
                 f"{dist.probs[forced_outcome]:.3e} < {_MIN_FORCEABLE_PROB:g}"
             )
-        outcome = int(forced_outcome)
+        outcome = forced_outcome
     return MeasurementRecord(
         outcome=outcome,
         probability=float(dist.probs[outcome]),
@@ -116,6 +117,7 @@ def sample_outcomes(meas: Measurement, v: ComplexState, shots: int, seed: int) -
 
     Counts sum to shots; deterministic for a fixed seed.
     """
+    shots = _integer(shots, "shots")
     if shots < 0:
         raise ValidationError("shots must be nonnegative")
     if shots > np.iinfo(np.int64).max:

@@ -40,29 +40,20 @@ def _finite(x) -> float:
     return v
 
 
-def check_within(name: str, value, target, tolerance, overrides=None) -> CheckResult:
-    tolerance = float(_lookup(overrides, name, tolerance))
-    value, target = _finite(value), float(target)
+def check_within(name: str, value, target, tolerance) -> CheckResult:
+    value, target, tolerance = _finite(value), float(target), float(tolerance)
     return CheckResult(name, value, target, tolerance, WITHIN,
                        abs(value - target) <= tolerance)
 
 
-def check_le(name: str, value, bound, overrides=None) -> CheckResult:
-    bound = float(_lookup(overrides, name, bound))
-    value = _finite(value)
+def check_le(name: str, value, bound) -> CheckResult:
+    value, bound = _finite(value), float(bound)
     return CheckResult(name, value, 0.0, bound, LE, value <= bound)
 
 
-def check_ge(name: str, value, floor, overrides=None) -> CheckResult:
-    floor = float(_lookup(overrides, name, floor))
-    value = _finite(value)
+def check_ge(name: str, value, floor) -> CheckResult:
+    value, floor = _finite(value), float(floor)
     return CheckResult(name, value, floor, 0.0, GE, value >= floor)
-
-
-def _lookup(overrides, name: str, default):
-    if overrides and name in overrides:
-        return overrides[name]
-    return default
 
 
 @dataclass
@@ -77,6 +68,21 @@ class Report:
     @property
     def overall_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    # Each check method appends one row; its threshold is the config's
+    # tol_overrides entry for the name if there is one, else the default
+    # given, so the rows cannot disagree with the config the report echoes.
+    def within(self, name: str, value, target, tolerance) -> None:
+        self.checks.append(check_within(name, value, target, self._threshold(name, tolerance)))
+
+    def le(self, name: str, value, bound) -> None:
+        self.checks.append(check_le(name, value, self._threshold(name, bound)))
+
+    def ge(self, name: str, value, floor) -> None:
+        self.checks.append(check_ge(name, value, self._threshold(name, floor)))
+
+    def _threshold(self, name: str, default):
+        return self.config.get("tol_overrides", {}).get(name, default)
 
 
 def format_float(x: float) -> str:

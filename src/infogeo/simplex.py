@@ -18,6 +18,7 @@ cubic in the step size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,16 @@ def _vector(values, name: str, size: int | None = None, dtype=float) -> np.ndarr
         raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _integer(value, name: str) -> int:
+    """The one check of an integer argument: value as a Python int through
+    operator.index, so a float or a string raises ValidationError instead of
+    being truncated or failing later."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _readonly_row(values, kind: str) -> np.ndarray:

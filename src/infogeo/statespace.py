@@ -45,6 +45,7 @@ from .simplex import (
 )
 
 TWO_PI = 2.0 * math.pi
+SLOPE_REL_TOL = 1e-9  # largest spread of |theta'| relative to its mean in the measure audit
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +263,7 @@ class MeasureInvarianceResult:
 def measure_invariance_check(theta_prime_samples) -> MeasureInvarianceResult:
     """Check that sampled slope values theta'(chi) have constant magnitude.
 
-    Pass iff max|theta'| - min|theta'| <= 1e-9 * mean|theta'|.  Raises
+    Pass iff max|theta'| - min|theta'| <= SLOPE_REL_TOL * mean|theta'|.  Raises
     EmptyGrid for fewer than two samples and ValidationError for non-finite
     samples or ones whose sum overflows.
     """
@@ -274,7 +275,7 @@ def measure_invariance_check(theta_prime_samples) -> MeasureInvarianceResult:
         mean = float(arr.mean())
     if mean == math.inf:
         raise ValidationError("slope magnitudes sum past the float range")
-    passed = deviation <= 1e-9 * mean
+    passed = deviation <= SLOPE_REL_TOL * mean
     constant = 1.0 / (TWO_PI * mean) if mean > 0.0 else None
     return MeasureInvarianceResult(passed, deviation, mean, constant)
 

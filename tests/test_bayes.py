@@ -53,8 +53,10 @@ def test_coin_experiment_validation():
     CoinExperiment(HALF, SKEW, 0)
     with pytest.raises(ValidationError):
         CoinExperiment(HALF, SKEW, -1)
-    with pytest.raises(ValidationError):
-        CoinExperiment(HALF, SKEW, 2.5)
+    for n in (2.5, "3"):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            CoinExperiment(HALF, SKEW, n)
+    assert type(CoinExperiment(HALF, SKEW, np.int64(3)).n) is int
     with pytest.raises(ValidationError):
         CoinExperiment(HALF, SKEW, 10, prior_a=1.0)
     with pytest.raises(ValidationError):
@@ -286,6 +288,12 @@ def test_monte_carlo_rejects_bad_trials():
     exp = CoinExperiment(HALF, SKEW, 5)
     with pytest.raises(ValidationError):
         monte_carlo_gain(exp, trials=0, seed=1)
+    for trials in (2.5, "3"):
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            monte_carlo_gain(exp, trials=trials, seed=1)
+    summary = monte_carlo_gain(exp, trials=np.int64(3), seed=1)
+    assert summary == monte_carlo_gain(exp, trials=3, seed=1)
+    assert type(summary.trials) is int
 
 
 def test_monte_carlo_rejects_toss_counts_beyond_the_sampler():

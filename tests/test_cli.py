@@ -225,6 +225,47 @@ def test_unknown_override_name_exits_two_without_report(capsys):
     assert "equal_coins_exact_gain" not in err
 
 
+def test_override_moves_only_its_own_row(capsys):
+    base_code, base_out, _ = run(["coin-distinguish", "--trials", "0"], capsys)
+    code, out, _ = run(
+        ["coin-distinguish", "--trials", "0", "--tol-override", "worked_point_exact_gain=0"],
+        capsys,
+    )
+    assert (base_code, code) == (0, 1)
+    expected, moved = json.loads(base_out), json.loads(out)
+    expected["config"]["tol_overrides"] = {"worked_point_exact_gain": 0.0}
+    row = {c["name"]: c for c in expected["checks"]}["worked_point_exact_gain"]
+    row["tolerance"], row["passed"] = 0.0, False
+    expected["overall_passed"] = False
+    expected["duration_seconds"] = moved["duration_seconds"]
+    assert moved == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric-check", "--s", "5"],
+        ["correspondence", "--d", "5"],
+        ["coin-distinguish", "--tol", "x=1"],
+        ["wootters", "--pa", "1", "--bud", "1", "--dr", "2"],
+        ["all", "--seed", "1", "--tan", "5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_option_prefixes_are_usage_errors(argv, capsys):
+    # option names are exact: argparse would otherwise take a prefix
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --" in captured.err
+
+
+def test_exact_option_names_take_attached_values():
+    args = build_parser().parse_args(["coin-distinguish", "--seed=5", "--tol-override=a=1"])
+    assert vars(args) == {"command": "coin-distinguish", "seed": 5, "tol_override": [("a", 1.0)]}
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

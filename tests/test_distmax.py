@@ -304,6 +304,19 @@ def test_maximizer_deterministic_and_monotone_in_budget():
     assert values[0] <= values[1] <= values[2]
 
 
+@pytest.mark.parametrize("count", [2.5, "3"])
+def test_restart_and_sample_counts_must_be_integers(count):
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        maximize_statistical_distance(E0, DIAG, budget=count, seed=0)
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        certify_upper_bound(E0, DIAG, samples=count, seed=0)
+    a = maximize_statistical_distance(E0, DIAG, budget=np.int64(2), seed=0)
+    assert a.max_ds == maximize_statistical_distance(E0, DIAG, budget=2, seed=0).max_ds
+    assert certify_upper_bound(E0, DIAG, samples=np.int64(50), seed=0) == certify_upper_bound(
+        E0, DIAG, samples=50, seed=0
+    )
+
+
 def test_maximizer_counts_rotation_evaluations():
     rng = np.random.default_rng(39)
     u = random_complex_state(3, rng)

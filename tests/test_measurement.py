@@ -120,6 +120,15 @@ def test_apply_measurement_forced_outcome():
         apply_measurement(meas, ComplexState([1.0, 0.0]), forced_outcome=2)
 
 
+@pytest.mark.parametrize("outcome", [1.5, "1"])
+def test_apply_measurement_forced_outcome_must_be_an_integer(outcome):
+    meas = Measurement(HADAMARD)
+    with pytest.raises(ValidationError, match="forced_outcome must be an integer"):
+        apply_measurement(meas, ComplexState([1.0, 0.0]), forced_outcome=outcome)
+    rec = apply_measurement(meas, ComplexState([1.0, 0.0]), forced_outcome=np.int64(1))
+    assert rec.outcome == 1 and type(rec.outcome) is int
+
+
 def test_apply_measurement_impossible_outcome():
     # e_1 never yields outcome 1 under the identity arrangement
     meas = Measurement(np.eye(2, dtype=complex))
@@ -164,6 +173,16 @@ def test_sample_outcomes_deterministic_and_complete():
     # beyond the sampler's limit; shots is a count, so nothing is allocated
     with pytest.raises(ValidationError, match="2\\*\\*63"):
         sample_outcomes(meas, v, 2**63, seed=1)
+
+
+@pytest.mark.parametrize("shots", [1.5, "3"])
+def test_sample_outcomes_shots_must_be_an_integer(shots):
+    meas, v = Measurement(HADAMARD), ComplexState([1.0, 0.0])
+    with pytest.raises(ValidationError, match="shots must be an integer"):
+        sample_outcomes(meas, v, shots, seed=1)
+    np.testing.assert_array_equal(
+        sample_outcomes(meas, v, np.int64(100), seed=1), sample_outcomes(meas, v, 100, seed=1)
+    )
 
 
 def test_sample_outcomes_match_born_within_three_sigma():

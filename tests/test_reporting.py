@@ -46,12 +46,39 @@ def test_check_le_and_ge():
     assert ge.target == 2.7 and ge.tolerance == 0.0
 
 
+def _three_checks(report):
+    report.within("x", 1.5, 1.0, 1e-3)
+    report.le("err", 1e-11, 1e-12)
+    report.ge("order", 2.5, 2.7)
+    return report.checks
+
+
 def test_check_overrides_replace_the_governing_threshold():
-    assert not check_within("x", 1.5, 1.0, 1e-3).passed
-    assert check_within("x", 1.5, 1.0, 1e-3, {"x": 1.0}).passed
-    assert check_le("err", 1e-11, 1e-12, {"err": 1e-10}).passed
-    assert not check_le("err", 1e-11, 1e-12, {"other": 1e-10}).passed
-    assert check_ge("order", 2.5, 2.7, {"order": 2.0}).passed
+    # an override replaces within's tolerance, le's bound and ge's floor, and
+    # only for the name it gives
+    overrides = {"x": 1.0, "err": 1e-10, "order": 2.0}
+    assert _three_checks(Report("demo", {"tol_overrides": overrides})) == [
+        CheckResult("x", 1.5, 1.0, 1.0, "within", True),
+        CheckResult("err", 1e-11, 0.0, 1e-10, "le", True),
+        CheckResult("order", 2.5, 2.0, 0.0, "ge", True),
+    ]
+    r = Report("demo", {"tol_overrides": {"other": 1e-10}})
+    r.le("err", 1e-11, 1e-12)
+    assert r.checks == [CheckResult("err", 1e-11, 0.0, 1e-12, "le", False)]
+
+
+def test_report_checks_without_overrides_use_the_defaults():
+    defaults = [
+        CheckResult("x", 1.5, 1.0, 1e-3, "within", False),
+        CheckResult("err", 1e-11, 0.0, 1e-12, "le", False),
+        CheckResult("order", 2.5, 2.7, 0.0, "ge", False),
+    ]
+    # the row builders give the same rows as the methods' defaults
+    assert [check_within("x", 1.5, 1.0, 1e-3), check_le("err", 1e-11, 1e-12),
+            check_ge("order", 2.5, 2.7)] == defaults
+    # a config without the key, or with no overrides in it
+    assert _three_checks(Report("demo", {"n": 2})) == defaults
+    assert _three_checks(Report("demo", {"tol_overrides": {}})) == defaults
 
 
 def test_checks_reject_non_finite_values():

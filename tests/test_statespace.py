@@ -33,6 +33,7 @@ from infogeo import (
     to_complex,
     to_polar,
 )
+from infogeo.statespace import SLOPE_REL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,6 +275,12 @@ def test_measure_invariance_affine_passes():
 def test_measure_invariance_sign_of_slope_is_ignored():
     res = measure_invariance_check(np.full(50, -2.0))
     assert res.passed and res.mean_abs_slope == pytest.approx(2.0)
+
+
+def test_measure_invariance_threshold_is_slope_rel_tol():
+    # the spread is judged relative to the mean slope (here 1), at SLOPE_REL_TOL
+    assert measure_invariance_check([1.0, 1.0 + 0.5 * SLOPE_REL_TOL]).passed
+    assert not measure_invariance_check([1.0, 1.0 + 2.0 * SLOPE_REL_TOL]).passed
 
 
 def test_measure_invariance_quadratic_fails_with_deviation_two():
