@@ -81,6 +81,11 @@ class RunConfig:
         for name, cap in SIZE_CAPS.items():
             if getattr(self, name) > cap:
                 raise ValidationError(f"--{name} must be at most {cap}")
+        if self.command in ("wootters", "all") and self.n > distmax.MAX_DIMENSION:
+            # the optimizer's own cap, checked here before any battery runs
+            raise ValidationError(
+                f"--n must be at most {distmax.MAX_DIMENSION} for wootters"
+            )
         if not 0.0 < self.delta < 1.0 / self.n:
             raise ValidationError("--delta must lie in (0, 1/n)")
         if 1.0 / self.n + self.delta == 1.0 / self.n:
@@ -471,7 +476,8 @@ def run_born_check(cfg: RunConfig) -> Report:
             v_rot = statespace.ComplexState(global_phase * v.v)
             phase_err = max(
                 phase_err,
-                float(np.abs(measurement.outcome_distribution(other, v).probs - dist.probs).max()),
+                # through other's basis: its phases must not move the probabilities
+                float(np.abs(np.abs(other.basis().conj().T @ v.v) ** 2 - dist.probs).max()),
                 float(np.abs(measurement.outcome_distribution(meas, v_rot).probs - dist.probs).max()),
             )
         audit = measurement.simulability_roundtrip(meas)

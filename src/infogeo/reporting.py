@@ -1,8 +1,9 @@
 """Report data model and deterministic JSON/CSV serialization.
 
-Reports are plain trees of dicts, lists, strings, bools and numbers.  Floats
-are printed with 17 significant digits so every value round-trips double
-precision exactly, and key order is fixed by construction, making two reports
+Reports are plain trees of dicts, lists, strings, bools and numbers, written
+by the standard JSON encoder.  Floats take Python's shortest spelling that
+reads back as the same double (1.0 stays a float), in the JSON, the CSV and the
+check lines alike, and key order is fixed by construction, making two reports
 from the same configuration byte-identical apart from the duration field.
 """
 
@@ -86,49 +87,22 @@ class Report:
 
 
 def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
+    """The shortest spelling that reads back as the same double."""
+    return repr(float(x))
 
 
-def _write_json(obj, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append("true" if obj is True else "false" if obj is False else "null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__} into a report")
+def _scalar(obj):
+    # the encoder's fallback: NumPy scalars become Python numbers (np.float64
+    # is a float already); anything else has no place in a report
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise ValidationError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def json_text(tree: dict) -> str:
-    out: list[str] = []
-    _write_json(tree, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(tree, indent=2, default=_scalar) + "\n"
 
 
 def array_to_json(arr) -> dict:
@@ -174,19 +148,17 @@ def report_json(report: Report) -> str:
     return json_text(report_tree(report))
 
 
-_CSV_CONFIG_COLUMNS = ("n", "seed", "trials", "shots", "budget")
-
-
 def report_csv(report: Report) -> str:
-    """Flat check rows; the configuration scalars ride along on every row."""
+    """Flat check rows; every scalar of the configuration rides along on
+    every row, in config order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    cfg = {k: v for k, v in report.config.items()
+           if k != "command" and not isinstance(v, dict)}
     writer.writerow(
-        ["command", *_CSV_CONFIG_COLUMNS, "check", "value", "target",
-         "tolerance", "comparison", "passed"]
+        ["command", *cfg, "check", "value", "target", "tolerance", "comparison", "passed"]
     )
-    cfg = report.config
-    cfg_cells = ["" if cfg.get(k) is None else str(cfg.get(k)) for k in _CSV_CONFIG_COLUMNS]
+    cfg_cells = ["" if v is None else str(v) for v in cfg.values()]
     for c in report.checks:
         writer.writerow(
             [report.command, *cfg_cells, c.name, format_float(c.value),

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -25,6 +26,7 @@ from infogeo import (
     to_polar,
 )
 from infogeo.cli import (
+    _RUNNERS,
     SIZE_CAPS,
     RunConfig,
     _centered_direction,
@@ -35,6 +37,7 @@ from infogeo.cli import (
     main,
     run_correspondence,
 )
+from infogeo.distmax import MAX_DIMENSION
 from infogeo.errors import NotUnitary, ValidationError
 from infogeo.reporting import array_from_json
 
@@ -98,13 +101,27 @@ def test_config_validation_rules():
 @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
 def test_size_caps_exit_two_before_allocating(name, capsys):
     cap = SIZE_CAPS[name]
-    RunConfig("all", seed=1, **{name: cap}).validate()
+    # all takes every option at its cap except n, which wootters caps lower
+    RunConfig("correspondence" if name == "n" else "all", seed=1, **{name: cap}).validate()
     with pytest.raises(ValidationError, match=f"--{name} must be at most {cap}"):
         RunConfig("all", seed=1, **{name: cap + 1}).validate()
     # validation runs before any battery, so this allocates nothing
     code, out, err = run(["all", "--seed", "1", f"--{name}", str(10**30)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: --{name} must be at most {cap}")
+
+
+@pytest.mark.parametrize("command", ["wootters", "all"])
+def test_wootters_dimension_cap_exits_two_before_any_battery(command, monkeypatch, capsys):
+    def never(cfg):
+        pytest.fail("a battery ran")
+
+    for name in _RUNNERS:
+        monkeypatch.setitem(_RUNNERS, name, never)
+    RunConfig(command, seed=7, n=MAX_DIMENSION).validate()
+    code, out, err = run([command, "--n", str(MAX_DIMENSION + 1), "--seed", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: --n must be at most {MAX_DIMENSION}")
 
 
 def test_single_monte_carlo_trial_is_a_config_error(capsys):
@@ -383,9 +400,34 @@ def test_csv_format(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("command,n,seed,trials,shots,budget,check,")
-    assert all(line.startswith("wootters,2,3,") for line in lines[1:])
+    # every scalar option, set or default, rides along on every row
+    assert lines[0].startswith(
+        "command,n,seed,trials,shots,budget,delta,pairs,draws,tangents,format,out,check,"
+    )
+    assert all(line.startswith("wootters,2,3,10000,100000,10,0.005,2,50,1000,csv,,")
+               for line in lines[1:])
     assert len(lines) == 5  # header + four checks
+
+
+def test_json_csv_and_check_lines_spell_the_same_numbers(capsys):
+    argv = ["born-check", "--seed", "7", *FAST["born-check"]]
+    code, out, err = run(argv, capsys)
+    csv_code, csv_out, _ = run([*argv, "--format", "csv"], capsys)
+    assert code == csv_code == 0
+    fields = ("value", "target", "tolerance")
+    from_json = {c["name"]: tuple(float(c[f]) for f in fields)
+                 for c in json.loads(out)["checks"]}
+    from_csv = {row["check"]: tuple(float(row[f]) for f in fields)
+                for row in csv.DictReader(io.StringIO(csv_out))}
+    from_err = {}
+    for line in err.splitlines()[:-1]:
+        status, name, value, target, tol, _ = line.split()
+        assert status == "PASS"
+        from_err[name.rstrip(":")] = tuple(
+            float(cell.partition("=")[2]) for cell in (value, target, tol)
+        )
+    assert len(from_json) == 11
+    assert from_json == from_csv == from_err
 
 
 def test_wootters_reports_worst_pair_measurement_at_zero_gap(capsys):
@@ -461,6 +503,25 @@ def test_correspondence_reports_haar_witness_and_degenerate_note(capsys):
         witness["deviation"], rel=1e-9
     )
     assert any("2x2" in note for note in report["notes"])
+
+
+def test_born_check_phase_term_sees_the_basis_phases(monkeypatch, capsys):
+    # a basis that turns its first two columns by the second phase: the phase
+    # convention now moves the probabilities, and the phase-invariance row must
+    # say so (the columns stay unit vectors, so every state can still be built)
+    basis = Measurement.basis
+
+    def turned(meas):
+        c, s = np.cos(meas.phases[1]), np.sin(meas.phases[1])
+        rot = np.eye(meas.n)
+        rot[:2, :2] = [[c, -s], [s, c]]
+        return basis(meas) @ rot
+
+    monkeypatch.setattr(Measurement, "basis", turned)
+    code, out, _ = run(["born-check", "--seed", "7", *FAST["born-check"]], capsys)
+    assert code == 1
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert rows["phase_invariance_max"]["passed"] is False
 
 
 def test_correspondence_runner_seeded_identically():

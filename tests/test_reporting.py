@@ -102,9 +102,9 @@ def test_report_overall_passed():
 
 
 def test_format_float_frozen():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(1.0) == "1"
-    assert format_float(2.5e-5) == "2.5000000000000001e-05"
+    assert format_float(0.1) == "0.1"
+    assert format_float(1.0) == "1.0"
+    assert format_float(2.5e-5) == "2.5e-05"
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -180,7 +180,8 @@ def test_array_payload_survives_json_writer():
 
 
 def _demo_report() -> Report:
-    r = Report("demo", {"n": 2, "seed": 11, "trials": 5, "shots": 6, "budget": 7})
+    r = Report("demo", {"command": "demo", "n": 2, "seed": 11, "trials": 5, "shots": 6,
+                        "budget": 7, "delta": 0.005, "out": None, "tol_overrides": {}})
     r.checks.append(check_within("alpha", 1.0, 1.0, 1e-3))
     r.checks.append(check_le("beta", 2.0, 1.0))
     r.notes.append("a note")
@@ -200,22 +201,33 @@ def test_report_tree_and_json():
     assert parsed["duration_seconds"] == 0.125
 
 
+def test_report_json_keeps_a_whole_float_a_float():
+    r = Report("demo", {})
+    r.within("fraction", 1.0, 1.0, 0.0)
+    value = json.loads(report_json(r))["checks"][0]["value"]
+    assert type(value) is float and value == 1.0
+
+
 def test_report_csv_layout():
+    # every scalar of the config in config order; the command once, no dicts
     lines = report_csv(_demo_report()).splitlines()
     assert lines[0] == (
-        "command,n,seed,trials,shots,budget,check,value,target,tolerance,"
+        "command,n,seed,trials,shots,budget,delta,out,check,value,target,tolerance,"
         "comparison,passed"
     )
-    assert lines[1] == "demo,2,11,5,6,7,alpha,1,1,0.001,within,true"
+    assert lines[1] == "demo,2,11,5,6,7,0.005,,alpha,1.0,1.0,0.001,within,true"
     assert lines[2].endswith("le,false")
     assert len(lines) == 3
 
 
 def test_report_csv_blank_for_missing_config():
-    r = Report("demo", {"n": 2})
+    r = Report("demo", {"n": 2, "seed": None})
     r.checks.append(check_le("a", 0.0, 1.0))
-    row = report_csv(r).splitlines()[1]
-    assert row.startswith("demo,2,,,,")
+    header, row = report_csv(r).splitlines()
+    assert header.startswith("command,n,seed,check,")
+    assert row == "demo,2,,a,0.0,0.0,1.0,le,true"
+    r.config = {}
+    assert report_csv(r).splitlines()[1] == "demo,a,0.0,0.0,1.0,le,true"
 
 
 def test_render_report_dispatch():
