@@ -1,10 +1,14 @@
-"""Substream k of a seed: the stream of PCG64(SeedSequence(seed, spawn_key=(k,))).
+"""Seeded streams, with the seeding done for a block of seeds at once.
 
-That is NumPy's `SeedSequence(seed).spawn(m)[k]` for any m > k, the package's
-one definition of an indexed substream.  Building a SeedSequence, a PCG64 and
-a Generator per key costs ~20 us (NumPy 2.4, x86-64), almost all of it in the
-seeding.  Both seeding steps are fixed integer arithmetic, so they run here
-for a block of keys at once:
+- `substreams(seed, keys)`: substream k of a seed, the stream of
+  PCG64(SeedSequence(seed, spawn_key=(k,))).  That is NumPy's
+  `SeedSequence(seed).spawn(m)[k]` for any m > k, the package's one
+  definition of an indexed substream.
+- `streams(seeds)`: the stream of `np.random.default_rng(s)` for each seed s.
+
+Building a SeedSequence, a PCG64 and a Generator per seed costs ~16-20 us
+(NumPy 2.4, x86-64), almost all of it in the seeding.  Both seeding steps are
+fixed integer arithmetic, so they run here for a block of seeds at once:
 
 - the SeedSequence hash mix (O'Neill's seed_seq_fe, pool of 4 uint32 words)
   and its generate_state(4, uint64), in NumPy uint32 arithmetic over the
@@ -19,6 +23,7 @@ ufuncs wrap without a RuntimeWarning.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Iterator
 
@@ -83,6 +88,34 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.stack([out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4)])
 
 
+def _seed_int(seed) -> int:
+    # SeedSequence's errors: ValueError for a negative seed, TypeError for a
+    # float or a string
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return seed
+
+
+def _reset(rng: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Generator]:
+    """Reset rng to each column of (4, seeds) generate_state words in turn,
+    by PCG64's set-seed (state and increment from two 128-bit words)."""
+    bit_gen = rng.bit_generator
+    # Python ints for 64 seeds at a time, not for the block: they take ~0.2 kB
+    # per seed
+    for start in range(0, words.shape[1], 64):
+        for s_hi, s_lo, i_hi, i_lo in words[:, start : start + 64].T.tolist():
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
     """Yield a Generator on substream k of seed for each k in keys.
 
@@ -93,14 +126,10 @@ def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
     """
     if seed is None:
         seed = np.random.SeedSequence().entropy
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    run = _words(seed)
+    run = _words(_seed_int(seed))
     # a spawned SeedSequence pads its run entropy to the pool size
     run += [0] * (_POOL_SIZE - len(run))
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
+    rng = np.random.Generator(np.random.PCG64(0))
     start = keys.start
     while start < keys.stop:
         # one block shares the key's word count, which changes at powers of 2**32
@@ -110,14 +139,34 @@ def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
         entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None]
         for j in range(key_words):
             entropy[len(run) + j] = [(k >> 32 * j) & _MASK32 for k in range(start, stop)]
-        for s_hi, s_lo, i_hi, i_lo in _seed_words(entropy).T.tolist():
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        yield from _reset(rng, _seed_words(entropy))
         start = stop
+
+
+def _padded_width(seed: int) -> int:
+    # a seed without a spawn key is its words zero-padded to the pool size
+    return max(_POOL_SIZE, -(-seed.bit_length() // 32))
+
+
+def streams(seeds) -> Iterator[np.random.Generator]:
+    """Yield a Generator in the state of np.random.default_rng(s) for each
+    seed s of seeds, in order.
+
+    The seeds are nonnegative ints (NumPy integers too); each raises as
+    SeedSequence does, when its block is reached.  One Generator is reset
+    for every seed, as in substreams.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    # one block shares the padded word count
+    for width, run in itertools.groupby(map(_seed_int, seeds), _padded_width):
+        while (words := _block_words(itertools.islice(run, _BLOCK), width)).size:
+            yield from _reset(rng, words)
+
+
+def _block_words(block, width: int) -> np.ndarray:
+    # generate_state words of a block of seeds, each zero-padded to width words
+    block = list(block)
+    entropy = np.array(
+        [[(s >> 32 * j) & _MASK32 for s in block] for j in range(width)], dtype=np.uint32
+    ).reshape(width, len(block))
+    return _seed_words(entropy)

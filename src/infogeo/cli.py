@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bayes, distmax, measurement, simplex, statespace, transforms
-from ._streams import substreams
+from ._streams import streams, substreams
 from .errors import InfoGeoError, NotOrthogonal, NotUnitary, ValidationError
 from .reporting import Report, array_to_json, format_float, render_report
 
@@ -40,11 +40,13 @@ SIZE_CAPS = {
     # at 1000 and 4000 restarts, n = 2); the cap bounds the time, ~1.5 min for
     # one n = 2 pair at ~0.9 ms per restart
     "budget": 100_000,
-    # correspondence takes one draw per loop step (0.7 MB traced at n = 8) and
-    # wootters' envelope 1000 draws per array pass (4.8 MB traced at n = 8,
-    # 2000 and 5000 draws, below the certifier's 8.8 MB Haar batch), so memory
-    # stays flat; the cap bounds the time, ~10 min at ~0.6 ms per
-    # correspondence draw and ~1.5 min at ~0.1 ms per envelope draw (n = 8)
+    # correspondence takes draws in passes of at most 8 (0.98 MB traced at
+    # n = 8 for 1000 and 4000 draws; 29.0 MB at n = 64 for 40 and 160, most of
+    # it the 200 constructed maps) and wootters' envelope 1000 draws per array
+    # pass (4.8 MB traced at n = 8, 2000 and 5000 draws, below the
+    # certifier's 8.8 MB Haar batch), so memory stays flat; the cap bounds the
+    # time, ~5 min at ~0.32 ms per correspondence draw (~2.3 ms at n = 64)
+    # and ~1.5 min at ~0.1 ms per envelope draw (n = 8)
     "draws": 1_000_000,
 }
 
@@ -181,11 +183,6 @@ def _centered_direction(u: np.ndarray) -> np.ndarray:
     return np.divide(d, scale, out=out, where=scale != 0.0)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a[t] @ b[t] per row: matmul's vector case is the same dot as 1-D `@`
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _kl_fisher_errors(rng: np.random.Generator, n: int, tangents: int, epsilons) -> np.ndarray:
     """Mean |KL(p, p + eps d) - 2 ds^2(eps d)| over random interior points p
     and directions d, one entry per eps."""
@@ -207,13 +204,15 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     and the information metric there must equal the Euclidean form."""
     q, dq = np.empty((2, tangents, 2 * n))
     for t in range(tangents):
-        q[t] = statespace.random_real_state(2 * n, rng).q
+        q[t] = statespace._direction(rng, 2 * n)
         dq[t] = rng.uniform(-1.0, 1.0, size=2 * n)
-    dq = 1e-3 * (dq - _row_dots(dq, q)[:, None] * q)
+    # random_real_state's check, once for all points
+    statespace._check_unit_rows(q)
+    dq = 1e-3 * (dq - simplex._row_dots(dq, q)[:, None] * q)
     events, moved = q**2, 2.0 * q * dq
     simplex._check_rows(events, "probs")
     simplex._check_rows(moved, "deltas")
-    return float(np.abs(simplex._fisher_rows(events, moved) - _row_dots(dq, dq)).max())
+    return float(np.abs(simplex._fisher_rows(events, moved) - simplex._row_dots(dq, dq)).max())
 
 
 def run_metric_check(cfg: RunConfig) -> Report:
@@ -300,13 +299,87 @@ def run_metric_check(cfg: RunConfig) -> Report:
     return report
 
 
-def run_correspondence(cfg: RunConfig) -> Report:
-    report = Report("correspondence", cfg.echo())
-    n = cfg.n
-    dim = 2 * n
-    rng = next(substreams(cfg.seed, range(1)))
+# maps per correspondence pass: each of the probe's (maps, 32, 17, 2n) float
+# arrays stays within this many bytes, 8 maps at n = 2, 2 at n = 8 and 1 from
+# n = 9 on.  The probe's traced peak per pass is ~0.45 MB up to n = 8 and
+# 1.3 MB at n = 64 (NumPy 2.4, x86-64).  Passes of 16 maps at n = 2 ran no
+# faster and left the peak RSS of the five default batteries ~0.3 MB higher
+_PASS_BYTES = 140_000
+# items whose seeds are drawn, and seeded by _streams, together
+_SEED_GROUP = 256
 
-    constructed = 100
+
+def _pass_size(dim: int) -> int:
+    # maps of sphere dimension dim per correspondence pass
+    return max(1, _PASS_BYTES // (transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8))
+
+
+def _passes(rng: np.random.Generator, count: int, columns: int, dim: int):
+    """Split count items, each seeded by `columns` rng.integers(2**62) draws
+    in draw order, into passes whose probe temporaries fit _PASS_BYTES.
+
+    Yield each pass's start and size, and per column an iterator of
+    np.random.default_rng(seed) Generators that the pass draws its items
+    from.  Seeds are drawn for _SEED_GROUP items at a time.
+    """
+    per_pass = _pass_size(dim)
+    for group in range(0, count, _SEED_GROUP):
+        seeds = rng.integers(2**62, size=(min(_SEED_GROUP, count - group), columns))
+        gens = [streams(column) for column in seeds.T]
+        for start in range(0, len(seeds), per_pass):
+            yield group + start, min(per_pass, len(seeds) - start), gens
+
+
+def _haar_kinds(gens, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """transforms._haar_seeded's maps and classify's kind of each, with one
+    orthogonality check for the stack."""
+    ms = transforms._haar_seeded(gens, count, dim)
+    transforms._require_isometries(ms, NotOrthogonal, "m.T @ m of a Haar draw")
+    return ms, transforms._commutation(ms)[0]
+
+
+def _haar_draws(rng: np.random.Generator, draws: int, dim: int):
+    """The correspondence battery's Haar draws: per draw a random_orthogonal
+    map, classified and probed, and two random_real_state states whose
+    distance it must keep, each seeded by rng.integers(2**62) in that order.
+    Returns the number of Neither maps and of maps failing the probe, the
+    first failing draw's witness (None if none fails), and the largest
+    change of a state distance."""
+    neither_hits = probe_failures = 0
+    first_witness = None
+    metric_dev = 0.0
+    # each draw's seeds in draw order: its map, its probe, two states
+    for start, count, gens in _passes(rng, draws, 4, dim):
+        ms, kinds = _haar_kinds(gens[0], count, dim)
+        neither_hits += int(np.count_nonzero(kinds == transforms.TransformKind.NEITHER))
+        passed, worst, witness_states, witness_shifts = transforms._probe_seeded(ms, gens[1])
+        probe_failures += int(np.count_nonzero(~passed))
+        if first_witness is None and not passed.all():
+            k = int(np.argmin(passed))
+            first_witness = {
+                "draw_index": start + k,
+                "matrix": array_to_json(ms[k]),
+                "witness_state": array_to_json(witness_states[k]),
+                "witness_shift": float(witness_shifts[k]),
+                "deviation": float(worst[k]),
+            }
+        qa, qb = (statespace._real_states_seeded(gens[k], count, dim) for k in (2, 3))
+        # m @ qa - m @ qb and qa - qb, each norm the one dot np.linalg.norm takes
+        d_img = np.matmul(ms, qa[..., None])[..., 0] - np.matmul(ms, qb[..., None])[..., 0]
+        d_q = qa - qb
+        metric_dev = max(metric_dev, float(np.abs(
+            np.sqrt(simplex._row_dots(d_img, d_img)) - np.sqrt(simplex._row_dots(d_q, d_q))
+        ).max()))
+    return neither_hits, probe_failures, first_witness, metric_dev
+
+
+def _check_constructed(report: Report, rng: np.random.Generator, n: int, constructed: int):
+    """The correspondence battery's constructed maps: per map a random_unitary
+    u on n amplitudes, its Type1 and Type2 maps, classified, converted back
+    and probed, and two random_real_state states they must carry as u and
+    its antiunitary do, each seeded by rng.integers(2**62) in that order.
+    Appends the rows to report and returns the Type1 and Type2 maps."""
+    dim = 2 * n
     type1_hits = type2_hits = 0
     unitarity_defect = 0.0
     roundtrip_defect = 0.0
@@ -315,49 +388,51 @@ def run_correspondence(cfg: RunConfig) -> Report:
     identity_distance = math.inf
     type1_maps = []
     type2_maps = []
-    for k in range(constructed):
-        u = transforms.random_unitary(n, rng.integers(2**62))
-        m1 = transforms.from_unitary(u)
-        m2 = transforms.from_antiunitary(u)
-        type1_maps.append(m1)
-        type2_maps.append(m2)
-        c1, c2 = transforms.classify(m1), transforms.classify(m2)
-        type1_hits += c1.kind is transforms.TransformKind.TYPE1
-        type2_hits += c2.kind is transforms.TransformKind.TYPE2
-        if c1.kind is transforms.TransformKind.TYPE1:
-            u_back = transforms.to_unitary(m1)
-            unitarity_defect = max(
-                unitarity_defect,
-                float(np.linalg.norm(u_back.conj().T @ u_back - np.eye(n))),
+    # each map's seeds in draw order: its unitary, two states, two probes
+    for start, count, gens in _passes(rng, constructed, 5, dim):
+        us = transforms._haar_seeded(gens[0], count, n, complex_=True)
+        states = [statespace._real_states_seeded(gens[k], count, dim) for k in (1, 2)]
+        for u, *qs in zip(us, *states):
+            m1 = transforms.from_unitary(u)
+            m2 = transforms.from_antiunitary(u)
+            type1_maps.append(m1)
+            type2_maps.append(m2)
+            c1, c2 = transforms.classify(m1), transforms.classify(m2)
+            type1_hits += c1.kind is transforms.TransformKind.TYPE1
+            type2_hits += c2.kind is transforms.TransformKind.TYPE2
+            if c1.kind is transforms.TransformKind.TYPE1:
+                u_back = transforms.to_unitary(m1)
+                unitarity_defect = max(
+                    unitarity_defect,
+                    float(np.linalg.norm(u_back.conj().T @ u_back - np.eye(n))),
+                )
+                roundtrip_defect = max(
+                    roundtrip_defect,
+                    float(np.linalg.norm(transforms.from_unitary(u_back) - m1)),
+                    float(np.linalg.norm(u_back - u)),
+                )
+            if c2.kind is transforms.TransformKind.TYPE2:
+                w_back = transforms.to_antiunitary(m2)
+                roundtrip_defect = max(
+                    roundtrip_defect,
+                    float(np.linalg.norm(transforms.from_antiunitary(w_back) - m2)),
+                )
+            identity_distance = min(
+                identity_distance, float(np.linalg.norm(m2 - np.eye(dim)))
             )
-            roundtrip_defect = max(
-                roundtrip_defect,
-                float(np.linalg.norm(transforms.from_unitary(u_back) - m1)),
-                float(np.linalg.norm(u_back - u)),
-            )
-        if c2.kind is transforms.TransformKind.TYPE2:
-            w_back = transforms.to_antiunitary(m2)
-            roundtrip_defect = max(
-                roundtrip_defect,
-                float(np.linalg.norm(transforms.from_antiunitary(w_back) - m2)),
-            )
-        identity_distance = min(
-            identity_distance, float(np.linalg.norm(m2 - np.eye(dim)))
-        )
-        for _ in range(2):
-            state = statespace.random_real_state(dim, rng.integers(2**62))
-            v = statespace.to_complex(state).v
-            img1 = statespace.to_complex(statespace.RealState(m1 @ state.q)).v
-            img2 = statespace.to_complex(statespace.RealState(m2 @ state.q)).v
-            equivariance_defect = max(
-                equivariance_defect,
-                float(np.linalg.norm(img1 - u @ v)),
-                float(np.linalg.norm(img2 - u @ np.conj(v))),
-            )
-        probe1 = transforms.gauge_invariance_probe(m1, seed=int(rng.integers(2**62)))
-        probe2 = transforms.gauge_invariance_probe(m2, seed=int(rng.integers(2**62)))
-        probe_dev_t1 = max(probe_dev_t1, probe1.max_deviation)
-        probe_dev_t2 = max(probe_dev_t2, probe2.max_deviation)
+            for q in qs:
+                v = statespace.to_complex(statespace.RealState(q)).v
+                img1 = statespace.to_complex(statespace.RealState(m1 @ q)).v
+                img2 = statespace.to_complex(statespace.RealState(m2 @ q)).v
+                equivariance_defect = max(
+                    equivariance_defect,
+                    float(np.linalg.norm(img1 - u @ v)),
+                    float(np.linalg.norm(img2 - u @ np.conj(v))),
+                )
+        probe1 = transforms._probe_seeded(np.stack(type1_maps[start:]), gens[3])
+        probe2 = transforms._probe_seeded(np.stack(type2_maps[start:]), gens[4])
+        probe_dev_t1 = max(probe_dev_t1, float(probe1[1].max()))
+        probe_dev_t2 = max(probe_dev_t2, float(probe2[1].max()))
 
     report.within("constructed_type1_classified_fraction", type1_hits / constructed, 1.0, 0.0)
     report.within("constructed_type2_classified_fraction", type2_hits / constructed, 1.0, 0.0)
@@ -367,6 +442,17 @@ def run_correspondence(cfg: RunConfig) -> Report:
     report.le("gauge_probe_type1_max_dev", probe_dev_t1, 1e-10)
     report.le("gauge_probe_type2_max_dev", probe_dev_t2, 1e-10)
     report.ge("type2_identity_distance_min", identity_distance, 1e-6)
+    return type1_maps, type2_maps
+
+
+def run_correspondence(cfg: RunConfig) -> Report:
+    report = Report("correspondence", cfg.echo())
+    n = cfg.n
+    dim = 2 * n
+    rng = next(substreams(cfg.seed, range(1)))
+
+    constructed = 100
+    type1_maps, type2_maps = _check_constructed(report, rng, n, constructed)
 
     closure_violations = 0
     for _ in range(25):
@@ -398,38 +484,14 @@ def run_correspondence(cfg: RunConfig) -> Report:
         mixed_rejected = 1.0
     report.within("mixed_beta_rejected", mixed_rejected, 1.0, 0.0)
 
-    neither_hits = 0
-    probe_failures = 0
-    first_witness = None
-    metric_dev = 0.0
-    for d in range(cfg.draws):
-        m = transforms.random_orthogonal(dim, rng.integers(2**62))
-        c = transforms.classify(m)
-        neither_hits += c.kind is transforms.TransformKind.NEITHER
-        probe = transforms.gauge_invariance_probe(m, seed=int(rng.integers(2**62)))
-        probe_failures += not probe.passed
-        if first_witness is None and not probe.passed:
-            first_witness = {
-                "draw_index": d,
-                "matrix": array_to_json(m),
-                "witness_state": array_to_json(probe.witness_state),
-                "witness_shift": probe.witness_shift,
-                "deviation": probe.max_deviation,
-            }
-        qa = statespace.random_real_state(dim, rng.integers(2**62)).q
-        qb = statespace.random_real_state(dim, rng.integers(2**62)).q
-        metric_dev = max(
-            metric_dev,
-            abs(float(np.linalg.norm(m @ qa - m @ qb)) - float(np.linalg.norm(qa - qb))),
-        )
+    neither_hits, probe_failures, first_witness, metric_dev = _haar_draws(rng, cfg.draws, dim)
     report.within("haar_neither_fraction", neither_hits / cfg.draws, 1.0, 0.0)
     report.within("haar_probe_failure_fraction", probe_failures / cfg.draws, 1.0, 0.0)
     report.le("metric_invariance_max_dev", metric_dev, 1e-12)
 
-    small = sum(
-        transforms.classify(transforms.random_orthogonal(2, rng.integers(2**62))).kind
-        is not transforms.TransformKind.NEITHER
-        for _ in range(64)
+    small = np.count_nonzero(
+        _haar_kinds(streams(rng.integers(2**62, size=64)), 64, 2)[1]
+        != transforms.TransformKind.NEITHER
     )
     report.within("two_by_two_all_classified", small / 64.0, 1.0, 0.0)
     report.notes.append(
@@ -549,12 +611,12 @@ def _envelope_distances(rng: np.random.Generator, n: int, size: int):
     building a Measurement and two ProbDist objects per draw.
     """
     ab = np.empty((2, size, n), dtype=complex)
-    z = np.empty((size, n, n), dtype=complex)
+    seeds = np.empty(size, dtype=np.int64)
     for k in range(size):
         ab[0, k] = statespace._random_amplitudes(rng, n)
         ab[1, k] = statespace._random_amplitudes(rng, n)
-        z[k] = transforms._gaussian(np.random.default_rng(rng.integers(2**62)), (n, n), True)
-    w = transforms._haar_from_gaussian(z)
+        seeds[k] = rng.integers(2**62)
+    w = transforms._haar_seeded(streams(seeds), size, n, complex_=True)
     transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
     # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
     sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2

@@ -85,6 +85,11 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[..., t] @ b[..., t] per row: matmul's vector case is the same dot as 1-D `@`
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _readonly_row(values, kind: str) -> np.ndarray:
     # the one row of a ProbDist, TangentVec or EventDist; _vector checked finiteness
     arr = _vector(values, kind)

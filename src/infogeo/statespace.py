@@ -38,8 +38,10 @@ from .simplex import (
     NORMALIZATION_TOL,
     ProbDist,
     TangentVec,
+    _integer,
     _moving,
     _readonly_row,
+    _row_dots,
     _vector,
     fisher_quadratic,
 )
@@ -74,15 +76,22 @@ class RealState:
         arr = _vector(self.q, "q")
         if arr.size < 4 or arr.size % 2 != 0:
             raise ValidationError("q must have even length >= 4")
-        if abs(float(arr @ arr) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError("q must have unit norm within 1e-12")
-        if np.any(np.abs(arr) > 1.0 + NORMALIZATION_TOL):
-            raise ValidationError("entries of a unit vector must lie in [-1, 1]")
+        _check_unit_rows(arr)
         object.__setattr__(self, "q", arr)
 
     @property
     def n_outcomes(self) -> int:
         return int(self.q.size // 2)
+
+
+def _check_unit_rows(q: np.ndarray) -> None:
+    """RealState's check of every row (last axis) of a (..., 2N) array of
+    finite entries in one pass: unit norm within NORMALIZATION_TOL and
+    entries in [-1, 1]."""
+    if (np.abs(_row_dots(q, q) - 1.0) > NORMALIZATION_TOL).any():
+        raise ValidationError("q must have unit norm within 1e-12")
+    if (np.abs(q) > 1.0 + NORMALIZATION_TOL).any():
+        raise ValidationError("entries of a unit vector must lie in [-1, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +294,7 @@ def random_complex_state(n: int, seed) -> ComplexState:
 
     Accepts an int seed or a numpy Generator.
     """
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ValidationError("n must be >= 2")
     return ComplexState(_random_amplitudes(np.random.default_rng(seed), n))
 
@@ -301,11 +310,26 @@ def random_real_state(dim: int, seed) -> RealState:
 
     dim must be even and >= 4.  Accepts an int seed or a numpy Generator.
     """
+    dim = _integer(dim, "dim")
     if dim < 4 or dim % 2 != 0:
         raise ValidationError("dim must be even and >= 4")
-    rng = np.random.default_rng(seed)
+    return RealState(_direction(np.random.default_rng(seed), dim))
+
+
+def _direction(rng: np.random.Generator, dim: int) -> np.ndarray:
+    # the unchecked q of random_real_state: standard normal draws until one
+    # has norm above 1e-8, scaled to unit norm
     while True:
         z = rng.standard_normal(dim)
         norm = np.linalg.norm(z)
         if norm > 1e-8:
-            return RealState(z / norm)
+            return z / norm
+
+
+def _real_states_seeded(gens, count: int, dim: int) -> np.ndarray:
+    """random_real_state(dim, s).q for count seeds s, gens yielding a
+    Generator in the state of np.random.default_rng(s) per seed, checked in
+    one pass."""
+    q = np.array([_direction(g, dim) for _, g in zip(range(count), gens)])
+    _check_unit_rows(q)
+    return q

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, NotUnitary, ValidationError, WrongType
-from .simplex import _vector
-from .statespace import DEFAULT_GAUGE, GaugeConvention, _interleave
+from .simplex import _integer, _row_dots, _vector
+from .statespace import DEFAULT_GAUGE, GaugeConvention
 
 STRUCTURAL_TOL = 1e-10
+# the probe's default sample counts
+PROBE_STATES = 32
+PROBE_SHIFTS = 16
 
 
 def _as_square_matrix(m, dtype) -> np.ndarray:
@@ -69,6 +72,7 @@ def require_unitary(u) -> np.ndarray:
 
 def complex_structure(dim: int) -> np.ndarray:
     """Block-diagonal J with 2x2 blocks [[0, -1], [1, 0]]; J @ J = -I."""
+    dim = _integer(dim, "dim")
     if dim < 2 or dim % 2 != 0:
         raise ValidationError("dim must be even and >= 2")
     j = np.zeros((dim, dim))
@@ -111,22 +115,39 @@ def _block_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, phi
 
 
+def _frobenius(ms: np.ndarray) -> np.ndarray:
+    # per matrix of a stack, sqrt of one dot over its entries, as np.linalg.norm
+    rows = ms.reshape(len(ms), -1)
+    return np.sqrt(_row_dots(rows, rows))
+
+
+def _commutation(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify's test over a (maps, d, d) stack of orthogonal maps in one
+    pass: each map's TransformKind (an object array) and the Frobenius norms
+    of m J - J m and m J + J m."""
+    j = complex_structure(ms.shape[-1])
+    mj, jm = ms @ j, j @ ms
+    comm, anti = _frobenius(mj - jm), _frobenius(mj + jm)
+    kinds = np.where(
+        comm <= STRUCTURAL_TOL,
+        TransformKind.TYPE1,
+        np.where(anti <= STRUCTURAL_TOL, TransformKind.TYPE2, TransformKind.NEITHER),
+    )
+    return kinds, comm, anti
+
+
 def classify(m) -> Classification:
     """Classify an orthogonal map by its commutation with J within STRUCTURAL_TOL.
 
     Raises NotOrthogonal for inputs failing m.T @ m = I within 1e-10.
     """
     arr = require_orthogonal(m)
-    j = complex_structure(arr.shape[0])
-    comm = float(np.linalg.norm(arr @ j - j @ arr))
-    anti = float(np.linalg.norm(arr @ j + j @ arr))
-    if comm <= STRUCTURAL_TOL:
-        alpha, phi = _block_params(arr)
-        return Classification(TransformKind.TYPE1, alpha, phi, 0, comm, anti)
-    if anti <= STRUCTURAL_TOL:
-        alpha, phi = _block_params(arr)
-        return Classification(TransformKind.TYPE2, alpha, phi, 1, comm, anti)
-    return Classification(TransformKind.NEITHER, None, None, None, comm, anti)
+    (kind,), (comm,), (anti,) = _commutation(arr[None])
+    comm, anti = float(comm), float(anti)
+    if kind is TransformKind.NEITHER:
+        return Classification(kind, None, None, None, comm, anti)
+    alpha, phi = _block_params(arr)
+    return Classification(kind, alpha, phi, int(kind is TransformKind.TYPE2), comm, anti)
 
 
 def _to_complex_matrix(m, kind: TransformKind) -> np.ndarray:
@@ -198,8 +219,8 @@ def gauge_invariance_probe(
     states: list | None = None,
     chi0s=None,
     g: GaugeConvention = DEFAULT_GAUGE,
-    n_states: int = 32,
-    n_shifts: int = 16,
+    n_states: int = PROBE_STATES,
+    n_shifts: int = PROBE_SHIFTS,
     seed: int = 0,
 ) -> ProbeResult:
     """Compare outcome probabilities of m @ Q before and after gauge shifts.
@@ -219,10 +240,10 @@ def gauge_invariance_probe(
         raise ValidationError("map must act on an even dimension >= 4")
     rng = np.random.default_rng(seed)
     if states is None:
+        n_states = _integer(n_states, "n_states")
         if n_states < 1:
             raise ValidationError("n_states must be positive")
-        qs = rng.standard_normal((n_states, dim))
-        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+        qs = _probe_states(rng, n_states, dim)
     else:
         qs = [state.q for state in states]
         if not qs:
@@ -231,41 +252,94 @@ def gauge_invariance_probe(
             raise DimensionMismatch(f"states must have dimension {dim}, the map's")
         qs = np.stack(qs)
     if chi0s is None:
+        n_shifts = _integer(n_shifts, "n_shifts")
         if n_shifts < 1:
             raise ValidationError("n_shifts must be positive")
-        chi0s = rng.uniform(0.0, 2.0 * math.pi, size=n_shifts)
+        chi0s = _probe_shifts(rng, n_shifts)
     # one shift is a legal grid, so a 1-entry chi0s is checked as size 1
     chi0s = _vector(chi0s, "chi0s", size=1 if np.shape(chi0s) == (1,) else None)
-
-    # a shift turns every coordinate pair by a * chi0; shift 0 comes first, so
-    # imgs[:, 0] is the unshifted image of each state
-    angles = g.a * np.concatenate(([0.0], chi0s))[None, :, None]
-    cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = qs[:, None, 0::2], qs[:, None, 1::2]
-    imgs = _interleave(even * cos - odd * sin, even * sin + odd * cos) @ arr.T
-    probs = (imgs**2).reshape(*imgs.shape[:2], -1, 2).sum(axis=3)
-    devs = np.abs(probs[:, 1:] - probs[:, :1]).max(axis=2)
-    # row-major argmax: the first state, then the first shift, at the maximum
-    i, k = np.unravel_index(devs.argmax(), devs.shape)
-    worst = float(devs[i, k])
-    passed = worst <= STRUCTURAL_TOL
+    (passed,), (worst,), (i,), (k,) = _probe_stack(arr[None], qs[None], chi0s[None], g)
     witness = None
     if not passed:
         # a read-only copy, like RealState.q, not a view into the work array
         witness = qs[i].copy()
         witness.flags.writeable = False
     return ProbeResult(
-        passed=passed,
-        max_deviation=worst,
+        passed=bool(passed),
+        max_deviation=float(worst),
         witness_state=witness,
         witness_shift=None if passed else float(chi0s[k]),
     )
 
 
+def _probe_states(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
+    # the probe's default states: rows of standard normals scaled to unit norm
+    qs = rng.standard_normal((n_states, dim))
+    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+    return qs
+
+
+def _probe_shifts(rng: np.random.Generator, n_shifts: int) -> np.ndarray:
+    # the probe's default shifts, drawn after its default states
+    return rng.uniform(0.0, 2.0 * math.pi, size=n_shifts)
+
+
+def _probe_stack(
+    ms: np.ndarray, qs: np.ndarray, chi0s: np.ndarray, g: GaugeConvention
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """gauge_invariance_probe's comparison for a stack of maps ms (maps, d, d),
+    with states qs (maps, states, d) and shifts chi0s (maps, shifts) per map,
+    in one array pass.  Returns per map whether it passes, its worst
+    deviation and the (state, shift) indices of the first occurrence of that
+    deviation in state-major order."""
+    # a shift turns every coordinate pair by a * chi0; shift 0 comes first, so
+    # probs[..., 0] is the unshifted image's.  Work arrays are (maps,
+    # coordinates, states, shifts + 1): each array pass runs along states and
+    # shifts, not along the short coordinate pairs
+    maps, dim = len(ms), ms.shape[-1]
+    zero = np.zeros((maps, 1))
+    angles = g.a * np.concatenate((zero, chi0s), axis=1)[:, None, None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    qt = np.swapaxes(qs, 1, 2)[..., None]
+    even, odd = qt[:, 0::2], qt[:, 1::2]
+    shape = (maps, dim // 2, qs.shape[1], angles.shape[-1])
+    shifted = np.empty((maps, dim, *shape[2:]))
+    np.subtract(even * cos, odd * sin, out=shifted[:, 0::2])
+    np.add(even * sin, odd * cos, out=shifted[:, 1::2])
+    sq = ms @ shifted.reshape(maps, dim, -1)
+    # each work array is freed before the next one of its size is made
+    del shifted
+    np.square(sq, out=sq)
+    probs = np.add(sq[:, 0::2], sq[:, 1::2]).reshape(shape)
+    del sq
+    devs = np.abs(probs[..., 1:] - probs[..., :1]).max(axis=1).reshape(maps, -1)
+    # row-major argmax: the first state, then the first shift, at the maximum
+    flat = devs.argmax(axis=1)
+    worst = devs[np.arange(maps), flat]
+    i, k = np.divmod(flat, chi0s.shape[1])
+    return worst <= STRUCTURAL_TOL, worst, i, k
+
+
+def _probe_seeded(ms: np.ndarray, gens):
+    """gauge_invariance_probe(ms[k], seed=s) with its default samples for
+    each map of a stack, gens yielding a Generator in the state of
+    np.random.default_rng(s) per map, in one pass: per map whether it
+    passes, its worst deviation, and its witness state and shift."""
+    dim = ms.shape[-1]
+    qs = np.empty((len(ms), PROBE_STATES, dim))
+    chi0s = np.empty((len(ms), PROBE_SHIFTS))
+    for k, g in zip(range(len(ms)), gens):
+        qs[k] = _probe_states(g, PROBE_STATES, dim)
+        chi0s[k] = _probe_shifts(g, PROBE_SHIFTS)
+    passed, worst, i, j = _probe_stack(ms, qs, chi0s, DEFAULT_GAUGE)
+    maps = np.arange(len(ms))
+    return passed, worst, qs[maps, i], chi0s[maps, j]
+
+
 def _haar(rng: np.random.Generator, dim: int, batch: tuple = (), complex_=False) -> np.ndarray:
     """Haar-random orthogonal or unitary matrices of shape (*batch, dim, dim),
     by _haar_from_gaussian of _gaussian draws."""
-    if dim < 2:
+    if _integer(dim, "dim") < 2:
         raise ValidationError("dim must be >= 2")
     return _haar_from_gaussian(_gaussian(rng, (*batch, dim, dim), complex_))
 
@@ -301,3 +375,14 @@ def random_orthogonal(dim: int, seed) -> np.ndarray:
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a complex standard-normal matrix."""
     return _haar(np.random.default_rng(seed), dim, complex_=True)
+
+
+def _haar_seeded(gens, count: int, dim: int, complex_=False) -> np.ndarray:
+    """random_orthogonal(dim, s) (random_unitary when complex_) for count
+    seeds s, gens yielding a Generator in the state of
+    np.random.default_rng(s) per seed, as one stack: a Gaussian draw per
+    seed, then one QR pass."""
+    z = np.empty((count, dim, dim), dtype=complex if complex_ else float)
+    for k, g in zip(range(count), gens):
+        z[k] = _gaussian(g, (dim, dim), complex_)
+    return _haar_from_gaussian(z)

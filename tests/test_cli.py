@@ -13,12 +13,16 @@ from infogeo import (
     ProbDist,
     RealState,
     TangentVec,
+    TransformKind,
+    classify,
     coarse_grain,
     from_polar,
+    gauge_invariance_probe,
     gauge_shift,
     hilbert_distance,
     outcome_distribution,
     random_complex_state,
+    random_orthogonal,
     random_real_state,
     random_unitary,
     state_event_probs,
@@ -31,6 +35,8 @@ from infogeo.cli import (
     RunConfig,
     _centered_direction,
     _envelope_distances,
+    _haar_draws,
+    _pass_size,
     _kl_fisher_errors,
     _worst_pullback,
     build_parser,
@@ -39,7 +45,7 @@ from infogeo.cli import (
 )
 from infogeo.distmax import MAX_DIMENSION
 from infogeo.errors import NotUnitary, ValidationError
-from infogeo.reporting import array_from_json
+from infogeo.reporting import array_from_json, array_to_json
 
 # small, fast battery sizes, each command's slice holding the options it reads
 FAST = {
@@ -657,3 +663,63 @@ def test_envelope_checks_unitarity_and_normalization(monkeypatch):
     monkeypatch.setattr(statespace, "_random_amplitudes", lambda rng, n: 1.001 * amplitudes(rng, n))
     with pytest.raises(ValidationError, match="probs sum to"):
         _envelope_distances(np.random.default_rng(7), 3, 20)
+
+
+# ---------------------------------------------------------------------------
+# the correspondence battery's array passes against per-map public calls
+
+
+def _per_draw_haar(rng, draws, dim):
+    """The Haar draws through the public functions, one draw at a time."""
+    neither = failures = 0
+    witness = None
+    metric_dev = 0.0
+    for d in range(draws):
+        m = random_orthogonal(dim, rng.integers(2**62))
+        neither += classify(m).kind is TransformKind.NEITHER
+        probe = gauge_invariance_probe(m, seed=int(rng.integers(2**62)))
+        failures += not probe.passed
+        if witness is None and not probe.passed:
+            witness = {
+                "draw_index": d,
+                "matrix": array_to_json(m),
+                "witness_state": array_to_json(probe.witness_state),
+                "witness_shift": probe.witness_shift,
+                "deviation": probe.max_deviation,
+            }
+        qa = random_real_state(dim, rng.integers(2**62)).q
+        qb = random_real_state(dim, rng.integers(2**62)).q
+        metric_dev = max(
+            metric_dev,
+            abs(float(np.linalg.norm(m @ qa - m @ qb)) - float(np.linalg.norm(qa - qb))),
+        )
+    return neither, failures, witness, metric_dev
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("draws", ["1", "pass-1", "pass+1", "1000"])
+def test_haar_draws_equal_per_draw_public_calls(n, draws):
+    dim = 2 * n
+    draws = {"1": 1, "pass-1": _pass_size(dim) - 1, "pass+1": _pass_size(dim) + 1,
+             "1000": 1000}[draws]
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = _haar_draws(rng, draws, dim)
+    assert got == _per_draw_haar(ref_rng, draws, dim)
+    assert got[2] is not None and got[0] == got[1] == draws
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_correspondence_traced_peak_does_not_grow_with_draws():
+    import tracemalloc
+
+    peaks = []
+    for draws in (64, 64, 1024, 4096):
+        tracemalloc.start()
+        run_correspondence(RunConfig("correspondence", n=2, seed=1, draws=draws))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the first run also holds what NumPy allocates once per process; up to
+    # 256 draws the peak gains the seeds of one seed group (~30 kB), then
+    # stays flat
+    assert peaks[2] <= peaks[1] + 64 * 1024
+    assert peaks[3] <= 1.01 * peaks[2]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogeo._streams import _BLOCK, substreams
+from infogeo._streams import _BLOCK, streams, substreams
 
 
 def _numpy_state(seed, key):
@@ -47,3 +47,37 @@ def test_substreams_reject_seeds_as_seed_sequence_does():
             np.random.SeedSequence(seed)
         with pytest.raises(error):
             next(substreams(seed, range(1)))
+
+
+# ---------------------------------------------------------------------------
+# streams: the state of np.random.default_rng(seed) for each seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**160 - 1), min_size=1, max_size=5))
+def test_stream_states_equal_default_rng(seeds):
+    states = [rng.bit_generator.state for rng in streams(seeds)]
+    assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**62 - 1, 2**64 + 5, 2**128, np.int64(2**62 - 1)]
+)
+def test_stream_state_equals_default_rng_at_word_boundaries(seed):
+    # seeds below 2**128 fill at most the 4-word pool; 2**128 is a fifth word
+    rng = next(streams([seed]))
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_streams_split_blocks_where_the_word_count_changes():
+    seeds = [5, 2**130, 2**130 + 1, 7, *range(_BLOCK + 3), 2**200]
+    draws = [rng.random(2).tolist() for rng in streams(seeds)]
+    assert draws == [np.random.default_rng(s).random(2).tolist() for s in seeds]
+
+
+def test_streams_reject_seeds_as_default_rng_does():
+    for seed, error in [(-1, ValueError), (1.5, TypeError), ("3", TypeError)]:
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            next(streams([3, seed]))

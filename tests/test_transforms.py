@@ -22,6 +22,7 @@ from infogeo import (
     from_unitary,
     gauge_invariance_probe,
     gauge_shift,
+    random_complex_state,
     random_orthogonal,
     random_real_state,
     random_unitary,
@@ -34,6 +35,7 @@ from infogeo import (
     to_unitary,
     transforms,
 )
+from infogeo._streams import streams
 from infogeo.transforms import STRUCTURAL_TOL, _require_isometries
 
 seeds = st.integers(0, 2**32 - 1)
@@ -342,6 +344,56 @@ def test_probe_accepts_explicit_states_and_shifts():
         from_unitary(u), states=states, chi0s=[0.5, 1.0]
     )
     assert res.passed
+
+
+def test_probe_over_a_stack_equals_one_call_per_map():
+    # map 0 passes, so the stack's first failing map is map 1
+    u = random_unitary(3, 4)
+    ms = np.stack([from_unitary(u), random_orthogonal(6, 1), from_antiunitary(u),
+                   random_orthogonal(6, 2)])
+    rng = np.random.default_rng(5)
+    qs = np.stack([transforms._probe_states(rng, 7, 6) for _ in ms])
+    chi0s = rng.uniform(0.0, 2.0 * math.pi, size=(len(ms), 5))
+    passed, worst, i, k = transforms._probe_stack(ms, qs, chi0s, transforms.DEFAULT_GAUGE)
+    assert passed.tolist() == [True, False, True, False]
+    for c, m in enumerate(ms):
+        res = gauge_invariance_probe(m, states=[RealState(q) for q in qs[c]], chi0s=chi0s[c])
+        assert (res.passed, res.max_deviation) == (passed[c], worst[c])
+        if not res.passed:
+            assert res.witness_state.tolist() == qs[c, i[c]].tolist()
+            assert res.witness_shift == chi0s[c, k[c]]
+    # the default samples, each map's drawn from its own seed
+    seeds = [11, 2**40, 7, 5]
+    passed, worst, states, shifts = transforms._probe_seeded(ms, streams(seeds))
+    assert passed.tolist() == [True, False, True, False]
+    for c, (m, seed) in enumerate(zip(ms, seeds)):
+        res = gauge_invariance_probe(m, seed=seed)
+        assert (res.passed, res.max_deviation) == (passed[c], worst[c])
+        if not res.passed:
+            assert res.witness_state.tolist() == states[c].tolist()
+            assert res.witness_shift == shifts[c]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: gauge_invariance_probe(random_orthogonal(4, 0), n_states=x),
+        lambda x: gauge_invariance_probe(random_orthogonal(4, 0), n_shifts=x),
+        lambda x: random_orthogonal(x, 1),
+        lambda x: random_unitary(x, 1),
+        lambda x: random_real_state(x, 1),
+        lambda x: random_complex_state(x, 1),
+        lambda x: complex_structure(x),
+    ],
+)
+def test_counts_and_dimensions_must_be_integers(call):
+    for bad in (4.0, 2.5, "4"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(bad)
+    a, b = call(4), call(np.int64(4))
+    if not isinstance(a, np.ndarray):  # a result dataclass: compare every field
+        a, b = vars(a), vars(b)
+    np.testing.assert_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
