@@ -36,18 +36,57 @@ SIZE_CAPS = {
     "tangents": 50_000,
     # wootters keeps one table row per pair: ~4.7 kB each, ~0.24 GB at the cap
     "pairs": 50_000,
-    # restarts reset one Generator, so memory stays flat (289 and 301 kB traced
-    # at 1000 and 4000 restarts, n = 2); the cap bounds the time, ~1.5 min for
-    # one n = 2 pair at ~0.9 ms per restart
+    # restarts reset one Generator, so memory stays flat (170 and 174 kB traced
+    # at 1000 and 4000 restarts, n = 2; 40 and 71 kB at 100 and 400, n = 8);
+    # the cap bounds the time, ~1.5 min for one n = 2 pair at ~0.85 ms per
+    # restart and ~25 min for one n = 8 pair at ~15 ms per restart
     "budget": 100_000,
     # correspondence takes draws in passes of at most 8 (0.98 MB traced at
     # n = 8 for 1000 and 4000 draws; 29.0 MB at n = 64 for 40 and 160, most of
     # it the 200 constructed maps) and wootters' envelope 1000 draws per array
-    # pass (4.8 MB traced at n = 8, 2000 and 5000 draws, below the
-    # certifier's 8.8 MB Haar batch), so memory stays flat; the cap bounds the
-    # time, ~5 min at ~0.32 ms per correspondence draw (~2.3 ms at n = 64)
-    # and ~1.5 min at ~0.1 ms per envelope draw (n = 8)
+    # pass (4.8 MB traced at n = 8, 2000 and 5000 draws: the battery's
+    # high-water, above the certifier's 3.6 MB for its 2000 draws per pair),
+    # so memory stays flat; the cap bounds the time, ~5 min at ~0.32 ms per
+    # correspondence draw (~2.3 ms at n = 64) and ~1.5 min at ~0.1 ms per
+    # envelope draw (n = 8)
     "draws": 1_000_000,
+}
+
+
+# The checks each battery reports, in report order; coin-distinguish reports
+# monte_carlo_gain_abs_error only when --trials > 0.  RunConfig.validate
+# rejects a --tol-override name outside them before any battery runs.
+CHECK_NAMES = {
+    "coin-distinguish": (
+        "gain_ratio_at_0.05", "gain_ratio_at_0.02", "gain_ratio_at_0.01",
+        "worked_point_exact_gain", "worked_point_approx_gain", "equal_coins_exact_gain",
+        "monte_carlo_gain_abs_error",
+    ),
+    "metric-check": (
+        "kl_fisher_order_n2", "kl_fisher_order_n4", "kl_fisher_order_n8",
+        "event_metric_pullback_max", "embed_distance_identity_max",
+        "triangle_inequality_max_violation", "quadratic_scaling_max_error",
+        "polar_metric_consistency_max", "measure_affine_passes",
+        "measure_quadratic_flagged", "measure_quadratic_deviation",
+    ),
+    "correspondence": (
+        "constructed_type1_classified_fraction", "constructed_type2_classified_fraction",
+        "type1_unitarity_max_defect", "conversion_roundtrip_max", "equivariance_max_defect",
+        "gauge_probe_type1_max_dev", "gauge_probe_type2_max_dev",
+        "type2_identity_distance_min", "closure_sign_rule_violations", "mixed_beta_rejected",
+        "haar_neither_fraction", "haar_probe_failure_fraction", "metric_invariance_max_dev",
+        "two_by_two_all_classified",
+    ),
+    "born-check": (
+        "born_rule_max_error", "completeness_max_error", "phase_invariance_max",
+        "reproducibility_max_defect", "simulability_pass_fraction", "wrong_stage_detected",
+        "eigenstate_probability_error", "eigenstate_counts_off_target", "count_zscore_max",
+        "counts_sum_error", "impossible_outcome_raises",
+    ),
+    "wootters": (
+        "max_gap", "certified_minus_max_ds", "certified_minus_hilbert",
+        "envelope_max_violation",
+    ),
 }
 
 
@@ -99,6 +138,19 @@ class RunConfig:
             raise ValidationError(
                 f"--seed is required for stochastic runs of {self.command!r}"
             )
+        unknown = sorted(set(self.tol_overrides) - set(self.check_names()))
+        if unknown:
+            raise ValidationError(
+                f"--tol-override names no check of this run: {', '.join(unknown)}"
+            )
+
+    def check_names(self) -> list[str]:
+        """The names of the checks this run reports, in report order."""
+        batteries = CHECK_NAMES if self.command == "all" else (self.command,)
+        return [
+            name for battery in batteries for name in CHECK_NAMES[battery]
+            if self.trials > 0 or name != "monte_carlo_gain_abs_error"
+        ]
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -595,8 +647,8 @@ def run_born_check(cfg: RunConfig) -> Report:
     return report
 
 
-# draws per envelope pass: below the certifier's 2000-unitary batch, which
-# stays the battery's memory high-water
+# draws per envelope pass: 4.8 MB traced at n = 8, the battery's memory
+# high-water (the certifier's 2000 draws per pair peak at 3.6 MB)
 _ENVELOPE_CHUNK = 1000
 
 
@@ -762,11 +814,6 @@ def main(argv=None) -> int:
     try:
         cfg.validate()
         report = runner(cfg)
-        unknown = sorted(set(cfg.tol_overrides) - {c.name for c in report.checks})
-        if unknown:
-            raise ValidationError(
-                f"--tol-override names no check of this run: {', '.join(unknown)}"
-            )
     except InfoGeoError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

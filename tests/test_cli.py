@@ -41,6 +41,7 @@ from infogeo.cli import (
     _worst_pullback,
     build_parser,
     main,
+    run_all,
     run_correspondence,
 )
 from infogeo.distmax import MAX_DIMENSION
@@ -246,6 +247,39 @@ def test_unknown_override_name_exits_two_without_report(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("config error:") and "no_such_check" in err
     assert "equal_coins_exact_gain" not in err
+
+
+@pytest.mark.parametrize("command", ["all", "wootters", "coin-distinguish"])
+def test_unknown_override_name_exits_two_before_any_battery(command, monkeypatch, capsys):
+    def never(cfg):
+        pytest.fail("a battery ran")
+
+    for name in _RUNNERS:
+        monkeypatch.setitem(_RUNNERS, name, never)
+    code, out, err = run([command, "--seed", "7", "--tol-override", "typo=1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: --tol-override names no check of this run: typo\n"
+
+
+def test_override_of_a_check_outside_the_run_exits_two(capsys):
+    # coin-distinguish reports its Monte Carlo check only when --trials > 0,
+    # and metric-check reports no wootters check
+    for argv in (["coin-distinguish", "--trials", "0", "--tol-override",
+                  "monte_carlo_gain_abs_error=1"],
+                 ["metric-check", "--seed", "1", "--tol-override", "max_gap=1"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --tol-override names no check of this run")
+
+
+@pytest.mark.parametrize("command, trials", [("all", 500), ("coin-distinguish", 0)])
+def test_check_names_are_the_checks_each_battery_reports(command, trials):
+    # all runs every battery in _RUNNERS order, so its rows are each
+    # battery's rows in turn
+    cfg = RunConfig(command, seed=3, trials=trials, shots=2000, draws=50, pairs=2,
+                    tangents=50)
+    runner = run_all if command == "all" else _RUNNERS[command]
+    assert [c.name for c in runner(cfg).checks] == cfg.check_names()
 
 
 def test_override_moves_only_its_own_row(capsys):
