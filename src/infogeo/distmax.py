@@ -32,7 +32,7 @@ QR-style ladder of complex plane rotations (unitary_from_params).
   sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2), eps = 1e-2, 1e-5, 1e-8, and descends
   again.  If it is still stalled, the restart kicks W by a Haar unitary
   drawn from its own substream (K W is Haar whatever W is, so the kick is a
-  fresh start) and settles again, keeping the lower overlap.
+  fresh start) and starts over, keeping the lower overlap.
 
 The split follows the per-pair cost (median of 20 pairs, 10 restarts, two
 sessions on a 2-core x86-64 VM): the coordinate search takes 5.5-7.2 ms at
@@ -300,9 +300,9 @@ def _restart(
     # _descend from w.  A stalled descent continues through the smoothed
     # overlaps (a short descent per _SMOOTHING eps, then one of the overlap
     # itself), keeping the lower end.  While the lowest overlap so far is
-    # stalled, W is kicked by a Haar unitary of rng and settled again, up to
-    # _KICKS times.  Returns the lowest overlap's W, the overlap and the
-    # evaluations of all descents.
+    # stalled, that W is kicked by a Haar unitary of rng and the descent and
+    # continuation start over from it, up to _KICKS times.  Returns the
+    # lowest overlap's W, the overlap and the evaluations of all descents.
     best_val, evaluations = math.inf, 0
     for kick in range(_KICKS + 1):
         if kick:
