@@ -1,5 +1,7 @@
 """Seeded streams, with the seeding done for a block of seeds at once.
 
+Two entry points give one seeding body (`_seeded`) their entropy words:
+
 - `substreams(seed, keys)`: substream k of a seed, the stream of
   PCG64(SeedSequence(seed, spawn_key=(k,))).  That is NumPy's
   `SeedSequence(seed).spawn(m)[k]` for any m > k, the package's one
@@ -8,12 +10,12 @@
 
 Building a SeedSequence, a PCG64 and a Generator per seed costs ~16-20 us
 (NumPy 2.4, x86-64), almost all of it in the seeding.  Both seeding steps are
-fixed integer arithmetic, so they run here for a block of seeds at once:
+fixed integer arithmetic, so they run here for a block of values at once:
 
 - the SeedSequence hash mix (O'Neill's seed_seq_fe, pool of 4 uint32 words)
   and its generate_state(4, uint64), in NumPy uint32 arithmetic over the
   block;
-- PCG64's set-seed, two steps of its 128-bit LCG (O'Neill 2014), per key
+- PCG64's set-seed, two steps of its 128-bit LCG (O'Neill 2014), per value
   with Python ints.
 
 Every array and scalar is explicitly uint32, so the wraparound arithmetic is
@@ -42,14 +44,6 @@ _XSHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # keys per block: memory stays O(block) at any number of keys
 _BLOCK = 1024
-
-
-def _words(value: int) -> list[int]:
-    # little-endian uint32 words of a nonnegative int; [0] for 0
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
 
 
 class _Hash:
@@ -124,28 +118,11 @@ def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
     raises ValueError for a negative one and TypeError for a float or a
     string.  Seed None draws fresh entropy once for all keys.
     """
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
-    run = _words(_seed_int(seed))
-    # a spawned SeedSequence pads its run entropy to the pool size
-    run += [0] * (_POOL_SIZE - len(run))
-    rng = np.random.Generator(np.random.PCG64(0))
-    start = keys.start
-    while start < keys.stop:
-        # one block shares the key's word count, which changes at powers of 2**32
-        key_words = len(_words(start))
-        stop = min(start + _BLOCK, keys.stop, 1 << (32 * key_words))
-        entropy = np.empty((len(run) + key_words, stop - start), dtype=np.uint32)
-        entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None]
-        for j in range(key_words):
-            entropy[len(run) + j] = [(k >> 32 * j) & _MASK32 for k in range(start, stop)]
-        yield from _reset(rng, _seed_words(entropy))
-        start = stop
-
-
-def _padded_width(seed: int) -> int:
-    # a seed without a spawn key is its words zero-padded to the pool size
-    return max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    seed = _seed_int(np.random.SeedSequence().entropy if seed is None else seed)
+    # a spawned SeedSequence pads its run entropy to the pool size, then
+    # appends the words of its key
+    run = [(seed >> 32 * j) & _MASK32 for j in range(max(_POOL_SIZE, _word_count(seed)))]
+    return _seeded(run, keys)
 
 
 def streams(seeds) -> Iterator[np.random.Generator]:
@@ -156,17 +133,41 @@ def streams(seeds) -> Iterator[np.random.Generator]:
     SeedSequence does, when its block is reached.  One Generator is reset
     for every seed, as in substreams.
     """
+    # a seed without a spawn key is its words zero-padded to the pool size
+    return _seeded([], map(_seed_int, seeds))
+
+
+def _word_count(value: int) -> int:
+    # uint32 words of a nonnegative int, 1 for 0
+    return ((value | 1).bit_length() + 31) >> 5
+
+
+def _seeded(prefix: list[int], values) -> Iterator[np.random.Generator]:
+    """Yield one Generator reset, for each value in turn, to the SeedSequence
+    state of entropy words prefix + the value's words, zero-padded to the
+    pool size; values go in blocks of _BLOCK, cut into runs of one width."""
     rng = np.random.Generator(np.random.PCG64(0))
-    # one block shares the padded word count
-    for width, run in itertools.groupby(map(_seed_int, seeds), _padded_width):
-        while (words := _block_words(itertools.islice(run, _BLOCK), width)).size:
-            yield from _reset(rng, words)
+    values = iter(values)
+    while block := list(itertools.islice(values, _BLOCK)):
+        # the word count grows with the value, so a block whose smallest and
+        # largest values share it is one run
+        if _word_count(min(block)) == _word_count(max(block)):
+            runs = [block]
+        else:
+            runs = [list(run) for _, run in itertools.groupby(block, _word_count)]
+        # the Python ints go before the block's streams are handed out
+        words = [_run_words(prefix, run) for run in runs]
+        del block, runs
+        for run_words in words:
+            yield from _reset(rng, run_words)
 
 
-def _block_words(block, width: int) -> np.ndarray:
-    # generate_state words of a block of seeds, each zero-padded to width words
-    block = list(block)
-    entropy = np.array(
-        [[(s >> 32 * j) & _MASK32 for s in block] for j in range(width)], dtype=np.uint32
-    ).reshape(width, len(block))
+def _run_words(prefix: list[int], run: list[int]) -> np.ndarray:
+    # generate_state words of a run of values of one word count, the
+    # entropy built one word row at a time
+    width = max(_word_count(run[0]), _POOL_SIZE - len(prefix))
+    entropy = np.empty((len(prefix) + width, len(run)), dtype=np.uint32)
+    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    for j in range(width):
+        entropy[len(prefix) + j] = [(v >> 32 * j) & _MASK32 for v in run]
     return _seed_words(entropy)

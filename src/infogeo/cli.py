@@ -3,7 +3,9 @@
 Subcommands: coin-distinguish, metric-check, correspondence, born-check,
 wootters, all.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or configuration error.  Reports for identical configurations are
-byte-identical apart from the duration field.
+byte-identical apart from the duration field.  The batteries run their
+random objects as stacks through the library's row and stack kernels, with
+the values, checks and exception types of one public call per object.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .reporting import Report, array_to_json, format_float, render_report
 # per-unit peaks were measured with tracemalloc (NumPy 2.4, x86-64) at 2000-
 # 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
-    # correspondence keeps 200 maps of (2n)^2 floats: ~7 kB * n^2, 30 MB at 64
+    # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2) and tests
+    # its 100 closure products as one stack: 79 MB traced at 64
     "n": 64,
     # (trials, n) counts and the posterior pass's temporaries: ~1.6 kB per
     # trial at n = 64, ~0.4 GB at the cap
@@ -41,14 +44,14 @@ SIZE_CAPS = {
     # the cap bounds the time, ~1.5 min for one n = 2 pair at ~0.85 ms per
     # restart and ~25 min for one n = 8 pair at ~15 ms per restart
     "budget": 100_000,
-    # correspondence takes draws in passes of at most 8 (0.98 MB traced at
-    # n = 8 for 1000 and 4000 draws; 29.0 MB at n = 64 for 40 and 160, most of
-    # it the 200 constructed maps) and wootters' envelope 1000 draws per array
-    # pass (4.8 MB traced at n = 8, 2000 and 5000 draws: the battery's
-    # high-water, above the certifier's 3.6 MB for its 2000 draws per pair),
-    # so memory stays flat; the cap bounds the time, ~5 min at ~0.32 ms per
-    # correspondence draw (~2.3 ms at n = 64) and ~1.5 min at ~0.1 ms per
-    # envelope draw (n = 8)
+    # correspondence takes draws in passes of at most 8 (1.24 MB traced at
+    # n = 8 for 1000 and 4000 draws; 78.8 MB at n = 64 for 40 and 160, most of
+    # it the constructed maps and the closure stack) and wootters' envelope
+    # 1000 draws per array pass (4.8 MB traced at n = 8, 2000 and 5000 draws:
+    # the battery's high-water, above the certifier's 3.6 MB for its 2000
+    # draws per pair), so memory stays flat; the cap bounds the time, ~5 min
+    # at ~0.32 ms per correspondence draw (~2.3 ms at n = 64) and ~1.5 min at
+    # ~0.1 ms per envelope draw (n = 8)
     "draws": 1_000_000,
 }
 
@@ -267,6 +270,32 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     return float(np.abs(simplex._fisher_rows(events, moved) - simplex._row_dots(dq, dq)).max())
 
 
+def _distance_identities(rng: np.random.Generator, n: int) -> tuple[float, float, float]:
+    """The largest |acos(sqrt(a) . sqrt(b)) - d_S(a, b)|, d_S(a, c) - d_S(a, b)
+    - d_S(b, c) and |ds^2(2 d) - 4 ds^2(d)| (each at least 0) over 200 rounds
+    of rng.uniform(0, 1) weights of a, b, c (rng.random() draws bit for bit),
+    an interior point and a direction d of size 1e-3, in that draw order."""
+    u = rng.random((200, 5, n))
+    probs = u[:, :3] / u[:, :3].sum(axis=-1, keepdims=True)
+    simplex._check_rows(probs, "probs")
+    a, b, c = probs[:, 0], probs[:, 1], probs[:, 2]
+    roots = np.sqrt(probs)
+    # math.acos per row: the reference the distance kernel is compared with
+    dots = simplex._row_dots(roots[:, 0], roots[:, 1]).tolist()
+    via_embed = np.array([math.acos(min(1.0, x)) for x in dots])
+    d_ab, d_ac, d_bc = (simplex._distance_rows(x, y) for x, y in ((a, b), (a, c), (b, c)))
+    p_in = _interior_dist(u[:, 3])
+    d1 = _centered_direction(u[:, 4]) * 1e-3
+    d2 = 2.0 * d1
+    for rows, kind in ((p_in, "probs"), (d1, "deltas"), (d2, "deltas")):
+        simplex._check_rows(rows, kind)
+    scaling = simplex._fisher_rows(p_in, d2) - 4.0 * simplex._fisher_rows(p_in, d1)
+    return tuple(
+        max(0.0, float(x.max()))
+        for x in (np.abs(via_embed - d_ab), d_ac - d_ab - d_bc, np.abs(scaling))
+    )
+
+
 def run_metric_check(cfg: RunConfig) -> Report:
     report = Report("metric-check", cfg.echo())
     rng = np.random.default_rng(cfg.seed)
@@ -284,32 +313,7 @@ def run_metric_check(cfg: RunConfig) -> Report:
     worst_pullback = _worst_pullback(rng, cfg.n, cfg.tangents)
     report.le("event_metric_pullback_max", worst_pullback, 1e-10)
 
-    worst_embed = 0.0
-    worst_triangle = 0.0
-    worst_scaling = 0.0
-    for _ in range(200):
-        a = simplex.ProbDist.renormalized(rng.uniform(0, 1, cfg.n))
-        b = simplex.ProbDist.renormalized(rng.uniform(0, 1, cfg.n))
-        c = simplex.ProbDist.renormalized(rng.uniform(0, 1, cfg.n))
-        via_embed = math.acos(
-            min(1.0, float(simplex.sqrt_embed(a) @ simplex.sqrt_embed(b)))
-        )
-        worst_embed = max(
-            worst_embed, abs(via_embed - simplex.statistical_distance(a, b))
-        )
-        worst_triangle = max(
-            worst_triangle,
-            simplex.statistical_distance(a, c)
-            - simplex.statistical_distance(a, b)
-            - simplex.statistical_distance(b, c),
-        )
-        p_in = simplex.ProbDist(_interior_dist(rng.random(cfg.n)))
-        d1 = simplex.TangentVec(_centered_direction(rng.random(cfg.n)) * 1e-3)
-        d2 = simplex.TangentVec(2.0 * d1.deltas)
-        worst_scaling = max(
-            worst_scaling,
-            abs(simplex.fisher_quadratic(p_in, d2) - 4.0 * simplex.fisher_quadratic(p_in, d1)),
-        )
+    worst_embed, worst_triangle, worst_scaling = _distance_identities(rng, cfg.n)
     report.le("embed_distance_identity_max", worst_embed, 1e-12)
     report.le("triangle_inequality_max_violation", worst_triangle, 1e-12)
     report.le("quadratic_scaling_max_error", worst_scaling, 1e-15)
@@ -359,6 +363,8 @@ def run_metric_check(cfg: RunConfig) -> Report:
 _PASS_BYTES = 140_000
 # items whose seeds are drawn, and seeded by _streams, together
 _SEED_GROUP = 256
+# the kind of each branch of the constructed maps, beta 0 and 1
+_BRANCHES = (transforms.TransformKind.TYPE1, transforms.TransformKind.TYPE2)
 
 
 def _pass_size(dim: int) -> int:
@@ -416,11 +422,11 @@ def _haar_draws(rng: np.random.Generator, draws: int, dim: int):
                 "deviation": float(worst[k]),
             }
         qa, qb = (statespace._real_states_seeded(gens[k], count, dim) for k in (2, 3))
-        # m @ qa - m @ qb and qa - qb, each norm the one dot np.linalg.norm takes
-        d_img = np.matmul(ms, qa[..., None])[..., 0] - np.matmul(ms, qb[..., None])[..., 0]
-        d_q = qa - qb
+        # m @ qa - m @ qb and qa - qb, as (draws, dim, 1) stacks
+        d_img = np.matmul(ms, qa[..., None]) - np.matmul(ms, qb[..., None])
+        d_q = (qa - qb)[..., None]
         metric_dev = max(metric_dev, float(np.abs(
-            np.sqrt(simplex._row_dots(d_img, d_img)) - np.sqrt(simplex._row_dots(d_q, d_q))
+            transforms._frobenius(d_img) - transforms._frobenius(d_q)
         ).max()))
     return neither_hits, probe_failures, first_witness, metric_dev
 
@@ -429,72 +435,73 @@ def _check_constructed(report: Report, rng: np.random.Generator, n: int, constru
     """The correspondence battery's constructed maps: per map a random_unitary
     u on n amplitudes, its Type1 and Type2 maps, classified, converted back
     and probed, and two random_real_state states they must carry as u and
-    its antiunitary do, each seeded by rng.integers(2**62) in that order.
-    Appends the rows to report and returns the Type1 and Type2 maps."""
+    its antiunitary do, each seeded by rng.integers(2**62) in that order,
+    as stacks per pass.  Appends the rows to report and returns the Type1
+    and Type2 maps."""
     dim = 2 * n
-    type1_hits = type2_hits = 0
-    unitarity_defect = 0.0
-    roundtrip_defect = 0.0
-    equivariance_defect = 0.0
-    probe_dev_t1 = probe_dev_t2 = 0.0
+    maps = np.empty((2, constructed, dim, dim))
+    hits = [0, 0]
+    worst = dict.fromkeys(("unitarity", "roundtrip", "equivariance", "probe0", "probe1"), 0.0)
     identity_distance = math.inf
-    type1_maps = []
-    type2_maps = []
+
+    def note(name, values):
+        worst[name] = max(worst[name], float(np.max(values, initial=0.0)))
+
     # each map's seeds in draw order: its unitary, two states, two probes
     for start, count, gens in _passes(rng, constructed, 5, dim):
         us = transforms._haar_seeded(gens[0], count, n, complex_=True)
-        states = [statespace._real_states_seeded(gens[k], count, dim) for k in (1, 2)]
-        for u, *qs in zip(us, *states):
-            m1 = transforms.from_unitary(u)
-            m2 = transforms.from_antiunitary(u)
-            type1_maps.append(m1)
-            type2_maps.append(m2)
-            c1, c2 = transforms.classify(m1), transforms.classify(m2)
-            type1_hits += c1.kind is transforms.TransformKind.TYPE1
-            type2_hits += c2.kind is transforms.TransformKind.TYPE2
-            if c1.kind is transforms.TransformKind.TYPE1:
-                u_back = transforms.to_unitary(m1)
-                unitarity_defect = max(
-                    unitarity_defect,
-                    float(np.linalg.norm(u_back.conj().T @ u_back - np.eye(n))),
-                )
-                roundtrip_defect = max(
-                    roundtrip_defect,
-                    float(np.linalg.norm(transforms.from_unitary(u_back) - m1)),
-                    float(np.linalg.norm(u_back - u)),
-                )
-            if c2.kind is transforms.TransformKind.TYPE2:
-                w_back = transforms.to_antiunitary(m2)
-                roundtrip_defect = max(
-                    roundtrip_defect,
-                    float(np.linalg.norm(transforms.from_antiunitary(w_back) - m2)),
-                )
-            identity_distance = min(
-                identity_distance, float(np.linalg.norm(m2 - np.eye(dim)))
-            )
-            for q in qs:
-                v = statespace.to_complex(statespace.RealState(q)).v
-                img1 = statespace.to_complex(statespace.RealState(m1 @ q)).v
-                img2 = statespace.to_complex(statespace.RealState(m2 @ q)).v
-                equivariance_defect = max(
-                    equivariance_defect,
-                    float(np.linalg.norm(img1 - u @ v)),
-                    float(np.linalg.norm(img2 - u @ np.conj(v))),
-                )
-        probe1 = transforms._probe_seeded(np.stack(type1_maps[start:]), gens[3])
-        probe2 = transforms._probe_seeded(np.stack(type2_maps[start:]), gens[4])
-        probe_dev_t1 = max(probe_dev_t1, float(probe1[1].max()))
-        probe_dev_t2 = max(probe_dev_t2, float(probe2[1].max()))
+        qs = np.stack([statespace._real_states_seeded(gens[k], count, dim) for k in (1, 2)])
+        transforms._require_isometries(us, NotUnitary, "u^dagger @ u")
+        ms = maps[:, start : start + count]
+        for beta, kind in enumerate(_BRANCHES):
+            ms[beta] = transforms._real_layout(us, beta)
+            transforms._require_isometries(ms[beta], NotOrthogonal, "m.T @ m")
+            is_kind = transforms._commutation(ms[beta])[0] == kind
+            hits[beta] += int(np.count_nonzero(is_kind))
+            # to_unitary / to_antiunitary of the maps of the kind, and back:
+            # from_unitary / from_antiunitary check those as unitaries
+            back = transforms._complex_blocks(ms[beta][is_kind])
+            defects = transforms._require_isometries(back, NotUnitary, "u^dagger @ u")
+            note("roundtrip", transforms._frobenius(
+                transforms._real_layout(back, beta) - ms[beta][is_kind]
+            ))
+            if beta == 0:
+                note("unitarity", defects)
+                note("roundtrip", transforms._frobenius(back - us[is_kind]))
+            note(f"probe{beta}", transforms._probe_seeded(ms[beta], gens[3 + beta])[1])
+        identity_distance = min(
+            identity_distance, float(transforms._frobenius(ms[1] - np.eye(dim)).min())
+        )
+        # the (branch, state, map) images m @ q, checked as RealState checks
+        # them, against u @ v and u @ conj(v), v the state's amplitudes
+        images = np.matmul(ms[:, None], qs[..., None])[..., 0]
+        statespace._check_unit_rows(images)
+        v = qs[..., 0::2] + 1j * qs[..., 1::2]
+        carried = np.matmul(us, np.stack((v, v.conj()))[..., None])
+        images = (images[..., 0::2] + 1j * images[..., 1::2])[..., None]
+        note("equivariance", transforms._frobenius(images - carried))
 
-    report.within("constructed_type1_classified_fraction", type1_hits / constructed, 1.0, 0.0)
-    report.within("constructed_type2_classified_fraction", type2_hits / constructed, 1.0, 0.0)
-    report.le("type1_unitarity_max_defect", unitarity_defect, 1e-10)
-    report.le("conversion_roundtrip_max", roundtrip_defect, 1e-12)
-    report.le("equivariance_max_defect", equivariance_defect, 1e-10)
-    report.le("gauge_probe_type1_max_dev", probe_dev_t1, 1e-10)
-    report.le("gauge_probe_type2_max_dev", probe_dev_t2, 1e-10)
+    report.within("constructed_type1_classified_fraction", hits[0] / constructed, 1.0, 0.0)
+    report.within("constructed_type2_classified_fraction", hits[1] / constructed, 1.0, 0.0)
+    report.le("type1_unitarity_max_defect", worst["unitarity"], 1e-10)
+    report.le("conversion_roundtrip_max", worst["roundtrip"], 1e-12)
+    report.le("equivariance_max_defect", worst["equivariance"], 1e-10)
+    report.le("gauge_probe_type1_max_dev", worst["probe0"], 1e-10)
+    report.le("gauge_probe_type2_max_dev", worst["probe1"], 1e-10)
     report.ge("type2_identity_distance_min", identity_distance, 1e-6)
-    return type1_maps, type2_maps
+    return maps
+
+
+def _closure_violations(rng: np.random.Generator, maps: np.ndarray) -> int:
+    """Over 25 rounds of Type1 maps a1, b1 and Type2 maps a2, b2 of
+    maps[0] and maps[1], drawn by rng.integers in that order, the products
+    a1 b1, a1 a2, a2 a1, a2 b2 not of kind Type1, Type2, Type2, Type1; the
+    100 products are one stack."""
+    pick = rng.integers(maps.shape[1], size=(25, 4))
+    prods = maps[[0, 0, 1, 1], pick[:, [0, 0, 2, 2]]] @ maps[[0, 1, 0, 1], pick[:, [1, 2, 0, 3]]]
+    transforms._require_isometries(prods, NotOrthogonal, "m.T @ m")
+    kinds = transforms._commutation(prods)[0]
+    return int(np.count_nonzero(kinds != np.array(_BRANCHES)[[0, 1, 1, 0]]))
 
 
 def run_correspondence(cfg: RunConfig) -> Report:
@@ -504,24 +511,8 @@ def run_correspondence(cfg: RunConfig) -> Report:
     rng = next(substreams(cfg.seed, range(1)))
 
     constructed = 100
-    type1_maps, type2_maps = _check_constructed(report, rng, n, constructed)
-
-    closure_violations = 0
-    for _ in range(25):
-        a1 = type1_maps[rng.integers(constructed)]
-        b1 = type1_maps[rng.integers(constructed)]
-        a2 = type2_maps[rng.integers(constructed)]
-        b2 = type2_maps[rng.integers(constructed)]
-        expected = [
-            (a1 @ b1, transforms.TransformKind.TYPE1),
-            (a1 @ a2, transforms.TransformKind.TYPE2),
-            (a2 @ a1, transforms.TransformKind.TYPE2),
-            (a2 @ b2, transforms.TransformKind.TYPE1),
-        ]
-        for prod, kind in expected:
-            if transforms.classify(prod).kind is not kind:
-                closure_violations += 1
-    report.within("closure_sign_rule_violations", float(closure_violations), 0.0, 0.0)
+    maps = _check_constructed(report, rng, n, constructed)
+    report.within("closure_sign_rule_violations", float(_closure_violations(rng, maps)), 0.0, 0.0)
 
     # flip beta on block (0, 0) only; sign-flipping part of one column breaks
     # orthogonality for any dense unitary

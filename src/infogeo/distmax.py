@@ -160,23 +160,6 @@ def _rotation(theta: float, zeta: float) -> tuple[float, complex]:
     return math.cos(theta), complex(s * math.cos(zeta), s * math.sin(zeta))
 
 
-def _table(terms: np.ndarray, p: np.ndarray, x: np.ndarray, i: int, j: int) -> None:
-    """Fill the (4, 2, n) candidate table of rotation (i, j).
-
-    With P = G_1 ... G_{r-1} and X = G_{r+1} ... G_m ab, a candidate (c, e)
-    for G_r outputs P G_r X, flattened as (1, c, e, -conj(e)) @ terms
-    reshaped to (4, 2n): the part through the rows of X outside (i, j), then
-    the three coefficients of the two touched rows.
-    """
-    x2 = x[(i, j), :]
-    pij = p[:, (i, j)]
-    touched = pij @ x2
-    terms[0] = (p @ x - touched).T
-    terms[1] = touched.T
-    terms[2] = x2[0, :, None] * pij[:, 1]
-    terms[3] = x2[1, :, None] * pij[:, 0]
-
-
 def _refine(ab: np.ndarray, rot: list[float], step: float) -> tuple[float, int]:
     # The n = 2 search: coordinate-wise greedy descent of the overlap over the
     # one rotation's (theta, zeta) = rot (updated in place); halve the step
@@ -188,9 +171,14 @@ def _refine(ab: np.ndarray, rot: list[float], step: float) -> tuple[float, int]:
     start = np.abs(np.stack((c * ab[0] - e.conjugate() * ab[1], e * ab[0] + c * ab[1])))
     best = float(np.dot(start[:, 0], start[:, 1]))
     evaluations = 1
-    terms = np.empty((4, 2, 2), dtype=complex)
-    _table(terms, np.eye(2, dtype=complex), ab, 0, 1)
-    flat = terms.reshape(4, 4)
+    # the candidate table: a candidate (c, e) outputs (1, c, e, -conj(e)) @
+    # flat, the outputs of a, then of b; the zeros of its last two rows are
+    # products with the identity, whose signs the search's path depends on
+    eye = np.eye(2, dtype=complex)
+    touched = (eye @ ab).T
+    flat = np.stack(
+        (np.zeros_like(touched), touched, ab[0, :, None] * eye[:, 1], ab[1, :, None] * eye[:, 0])
+    ).reshape(4, 4)
     coef = np.ones(4, dtype=complex)
     amp = np.empty(4, dtype=complex)
     mod = np.empty(4)

@@ -16,7 +16,9 @@ commutation:
     m J = -J m  (Type2)  <->  an antiunitary v -> u @ conj(v).
 
 Generic orthogonal matrices at 2N >= 4 do neither and fail gauge invariance
-of the coarse-grained outcome probabilities.
+of the coarse-grained outcome probabilities.  classify, the probe and the
+converters run private stack kernels on a stack of one; the batteries run
+them, and _frobenius, the one Frobenius norm, on whole stacks.
 """
 
 from __future__ import annotations
@@ -46,14 +48,26 @@ def _as_square_matrix(m, dtype) -> np.ndarray:
     return arr
 
 
-def _require_isometries(m: np.ndarray, error: type, what: str) -> None:
+def _frobenius(ms: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous (..., r, c) stack, the
+    dots np.linalg.norm takes: for complex entries those of the real and the
+    imaginary parts, as strided views (contiguous copies of the parts round
+    differently)."""
+    rows = ms.reshape(*ms.shape[:-2], -1)
+    if np.iscomplexobj(rows):
+        return np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+    return np.sqrt(_row_dots(rows, rows))
+
+
+def _require_isometries(m: np.ndarray, error: type, what: str) -> np.ndarray:
     """Raise error unless m^dagger @ m = I (m.T @ m for real m) within
-    Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, n) stack."""
-    # the Gram stack stays a temporary, freed before the norm's own temporaries
-    gram_minus_i = np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])
-    defect = np.linalg.norm(gram_minus_i, axis=(-2, -1)).max()
+    Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, n) stack;
+    return each matrix's Frobenius norm of m^dagger @ m - I."""
+    defects = _frobenius(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
+    defect = np.max(defects, initial=0.0)
     if defect > STRUCTURAL_TOL:
         raise error(f"{what} deviates from I by {defect:.3e} (tol {STRUCTURAL_TOL:g})")
+    return defects
 
 
 def require_orthogonal(m) -> np.ndarray:
@@ -115,14 +129,8 @@ def _block_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, phi
 
 
-def _frobenius(ms: np.ndarray) -> np.ndarray:
-    # per matrix of a stack, sqrt of one dot over its entries, as np.linalg.norm
-    rows = ms.reshape(len(ms), -1)
-    return np.sqrt(_row_dots(rows, rows))
-
-
 def _commutation(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """classify's test over a (maps, d, d) stack of orthogonal maps in one
+    """classify's test over a (..., d, d) stack of orthogonal maps in one
     pass: each map's TransformKind (an object array) and the Frobenius norms
     of m J - J m and m J + J m."""
     j = complex_structure(ms.shape[-1])
@@ -150,14 +158,19 @@ def classify(m) -> Classification:
     return Classification(kind, alpha, phi, int(kind is TransformKind.TYPE2), comm, anti)
 
 
+def _complex_blocks(ms: np.ndarray) -> np.ndarray:
+    # u of each Type1 or Type2 map of a (..., 2N, 2N) stack: both branches
+    # read it off the first column of every block
+    return ms[..., 0::2, 0::2] + 1j * ms[..., 1::2, 0::2]
+
+
 def _to_complex_matrix(m, kind: TransformKind) -> np.ndarray:
-    # classify validates orthogonality; both branches read u off the first
-    # column of every block
+    # classify validates orthogonality
     arr = np.asarray(m, dtype=float)
     c = classify(arr)
     if c.kind is not kind:
         raise WrongType(f"map classifies as {c.kind.value}, not {kind.value}")
-    return arr[0::2, 0::2] + 1j * arr[1::2, 0::2]
+    return _complex_blocks(arr)
 
 
 def to_unitary(m) -> np.ndarray:
@@ -178,20 +191,26 @@ def to_antiunitary(m) -> np.ndarray:
     return _to_complex_matrix(m, TransformKind.TYPE2)
 
 
+def _real_layout(us: np.ndarray, beta: int) -> np.ndarray:
+    """The real (..., 2N, 2N) maps of a (..., N, N) stack of complex
+    matrices: blocks |u_ij| R(arg u_ij) for beta 0 (Type1), each block
+    reflected, its second column negated, for beta 1 (Type2)."""
+    re, im = us.real, us.imag
+    m = np.empty((*us.shape[:-2], 2 * us.shape[-2], 2 * us.shape[-1]))
+    m[..., 0::2, 0::2] = re
+    m[..., 1::2, 0::2] = im
+    m[..., 0::2, 1::2] = im if beta else -im
+    m[..., 1::2, 1::2] = -re if beta else re
+    return m
+
+
 def from_unitary(u) -> np.ndarray:
     """Real 2N x 2N Type1 map with blocks |u_ij| R(arg u_ij).
 
     Inverse of to_unitary up to floating error below 1e-12.  Raises
     NotUnitary for non-unitary input.
     """
-    arr = require_unitary(u)
-    n = arr.shape[0]
-    m = np.empty((2 * n, 2 * n))
-    m[0::2, 0::2] = arr.real
-    m[0::2, 1::2] = -arr.imag
-    m[1::2, 0::2] = arr.imag
-    m[1::2, 1::2] = arr.real
-    return m
+    return _real_layout(require_unitary(u), 0)
 
 
 def from_antiunitary(u) -> np.ndarray:
@@ -199,9 +218,7 @@ def from_antiunitary(u) -> np.ndarray:
 
     The Type1 layout of u with every block reflected: odd columns negated.
     """
-    m = from_unitary(u)
-    m[:, 1::2] *= -1.0
-    return m
+    return _real_layout(require_unitary(u), 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from infogeo import (
     TransformKind,
     classify,
     coarse_grain,
+    fisher_quadratic,
+    from_antiunitary,
     from_polar,
+    from_unitary,
     gauge_invariance_probe,
     gauge_shift,
     hilbert_distance,
@@ -25,17 +29,25 @@ from infogeo import (
     random_orthogonal,
     random_real_state,
     random_unitary,
+    sqrt_embed,
     state_event_probs,
     statistical_distance,
+    to_antiunitary,
+    to_complex,
     to_polar,
+    to_unitary,
 )
 from infogeo.cli import (
     _RUNNERS,
     SIZE_CAPS,
     RunConfig,
     _centered_direction,
+    _check_constructed,
+    _closure_violations,
+    _distance_identities,
     _envelope_distances,
     _haar_draws,
+    _interior_dist,
     _pass_size,
     _kl_fisher_errors,
     _worst_pullback,
@@ -45,8 +57,8 @@ from infogeo.cli import (
     run_correspondence,
 )
 from infogeo.distmax import MAX_DIMENSION
-from infogeo.errors import NotUnitary, ValidationError
-from infogeo.reporting import array_from_json, array_to_json
+from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
+from infogeo.reporting import Report, array_from_json, array_to_json
 
 # small, fast battery sizes, each command's slice holding the options it reads
 FAST = {
@@ -643,6 +655,39 @@ def test_metric_rows_match_per_object_loop(n, seed):
     assert rng.random() == ref_next  # both consumed the same stream
 
 
+def _per_round_identities(rng, n):
+    """metric-check's 200 rounds of distance identities through the public
+    constructors and functions, one round at a time."""
+    worst_embed = worst_triangle = worst_scaling = 0.0
+    for _ in range(200):
+        a = ProbDist.renormalized(rng.uniform(0, 1, n))
+        b = ProbDist.renormalized(rng.uniform(0, 1, n))
+        c = ProbDist.renormalized(rng.uniform(0, 1, n))
+        via_embed = math.acos(min(1.0, float(sqrt_embed(a) @ sqrt_embed(b))))
+        worst_embed = max(worst_embed, abs(via_embed - statistical_distance(a, b)))
+        worst_triangle = max(
+            worst_triangle,
+            statistical_distance(a, c) - statistical_distance(a, b) - statistical_distance(b, c),
+        )
+        p_in = ProbDist(_interior_dist(rng.random(n)))
+        d1 = TangentVec(_centered_direction(rng.random(n)) * 1e-3)
+        d2 = TangentVec(2.0 * d1.deltas)
+        worst_scaling = max(
+            worst_scaling, abs(fisher_quadratic(p_in, d2) - 4.0 * fisher_quadratic(p_in, d1))
+        )
+    return worst_embed, worst_triangle, worst_scaling
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_distance_identities_equal_per_round_public_calls(n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _distance_identities(rng, n)
+    assert got == _per_round_identities(ref_rng, n)
+    assert got[0] > 0.0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_centered_direction_maps_all_equal_row_to_edge():
     u = np.array([[0.3, 0.3, 0.3, 0.3], [0.1, 0.9, 0.4, 0.2], [0.6, 0.6, 0.6, 0.6]])
     rows = _centered_direction(u)
@@ -741,6 +786,116 @@ def test_haar_draws_equal_per_draw_public_calls(n, draws):
     assert got == _per_draw_haar(ref_rng, draws, dim)
     assert got[2] is not None and got[0] == got[1] == draws
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _per_map_constructed(rng, n, constructed):
+    """The constructed maps' row values and their Type1 and Type2 maps
+    through the public functions, one map at a time."""
+    dim = 2 * n
+    type1_hits = type2_hits = 0
+    unitarity = roundtrip = equivariance = 0.0
+    probes = [0.0, 0.0]
+    identity = math.inf
+    type1_maps, type2_maps = [], []
+    for _ in range(constructed):
+        u = random_unitary(n, rng.integers(2**62))
+        qs = [random_real_state(dim, rng.integers(2**62)).q for _ in range(2)]
+        m1, m2 = from_unitary(u), from_antiunitary(u)
+        type1_maps.append(m1)
+        type2_maps.append(m2)
+        c1, c2 = classify(m1), classify(m2)
+        type1_hits += c1.kind is TransformKind.TYPE1
+        type2_hits += c2.kind is TransformKind.TYPE2
+        if c1.kind is TransformKind.TYPE1:
+            u_back = to_unitary(m1)
+            unitarity = max(unitarity, float(np.linalg.norm(u_back.conj().T @ u_back - np.eye(n))))
+            roundtrip = max(
+                roundtrip,
+                float(np.linalg.norm(from_unitary(u_back) - m1)),
+                float(np.linalg.norm(u_back - u)),
+            )
+        if c2.kind is TransformKind.TYPE2:
+            w_back = to_antiunitary(m2)
+            roundtrip = max(roundtrip, float(np.linalg.norm(from_antiunitary(w_back) - m2)))
+        identity = min(identity, float(np.linalg.norm(m2 - np.eye(dim))))
+        for q in qs:
+            v = to_complex(RealState(q)).v
+            img1 = to_complex(RealState(m1 @ q)).v
+            img2 = to_complex(RealState(m2 @ q)).v
+            equivariance = max(
+                equivariance,
+                float(np.linalg.norm(img1 - u @ v)),
+                float(np.linalg.norm(img2 - u @ np.conj(v))),
+            )
+        for m, k in ((m1, 0), (m2, 1)):
+            probe = gauge_invariance_probe(m, seed=int(rng.integers(2**62)))
+            probes[k] = max(probes[k], probe.max_deviation)
+    values = [type1_hits / constructed, type2_hits / constructed, unitarity, roundtrip,
+              equivariance, *probes, identity]
+    return values, type1_maps, type2_maps
+
+
+def _per_round_closure(rng, type1_maps, type2_maps):
+    """The closure rounds through classify, one product at a time."""
+    constructed = len(type1_maps)
+    violations = 0
+    for _ in range(25):
+        a1 = type1_maps[rng.integers(constructed)]
+        b1 = type1_maps[rng.integers(constructed)]
+        a2 = type2_maps[rng.integers(constructed)]
+        b2 = type2_maps[rng.integers(constructed)]
+        expected = [
+            (a1 @ b1, TransformKind.TYPE1),
+            (a1 @ a2, TransformKind.TYPE2),
+            (a2 @ a1, TransformKind.TYPE2),
+            (a2 @ b2, TransformKind.TYPE1),
+        ]
+        violations += sum(classify(prod).kind is not kind for prod, kind in expected)
+    return violations
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("count", ["1", "pass-1", "pass+1", "100"])
+def test_constructed_maps_and_closure_equal_per_map_public_calls(n, count):
+    dim = 2 * n
+    constructed = {"1": 1, "pass-1": _pass_size(dim) - 1, "pass+1": _pass_size(dim) + 1,
+                   "100": 100}[count]
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    report = Report("correspondence", {})
+    maps = _check_constructed(report, rng, n, constructed)
+    violations = _closure_violations(rng, maps)
+    values, type1_maps, type2_maps = _per_map_constructed(ref_rng, n, constructed)
+    assert [c.value for c in report.checks] == values
+    assert np.array_equal(maps, np.stack((type1_maps, type2_maps)))
+    assert violations == _per_round_closure(ref_rng, type1_maps, type2_maps) == 0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # every other Type2 map swapped for a Type1 one: which products break the
+    # sign rule depends on the maps each round draws
+    mixed = [m2 if k % 2 else m1 for k, (m1, m2) in enumerate(zip(type1_maps, type2_maps))]
+    got = _closure_violations(np.random.default_rng(5), np.stack((type1_maps, mixed)))
+    assert got == _per_round_closure(np.random.default_rng(5), type1_maps, mixed) > 0
+
+
+def test_constructed_pass_and_closure_keep_their_exception_types(monkeypatch):
+    # the same exception types as from_unitary, RealState and classify per map
+    from infogeo import statespace, transforms
+
+    def run():
+        return _check_constructed(Report("correspondence", {}), np.random.default_rng(7), 3, 10)
+
+    haar = transforms._haar_from_gaussian
+    monkeypatch.setattr(transforms, "_haar_from_gaussian", lambda z: 1.001 * haar(z))
+    with pytest.raises(NotUnitary):
+        run()
+    monkeypatch.setattr(transforms, "_haar_from_gaussian", haar)
+    # states that passed their own check, scaled: their images fail RealState's
+    states = statespace._real_states_seeded
+    monkeypatch.setattr(statespace, "_real_states_seeded", lambda *args: 1.001 * states(*args))
+    with pytest.raises(ValidationError, match="unit norm"):
+        run()
+    monkeypatch.setattr(statespace, "_real_states_seeded", states)
+    with pytest.raises(NotOrthogonal):
+        _closure_violations(np.random.default_rng(7), 1.001 * run())
 
 
 def test_correspondence_traced_peak_does_not_grow_with_draws():

@@ -421,3 +421,14 @@ def test_random_orthogonal_sign_balance():
     # determinant should hit both signs across seeds (Haar over O(n))
     dets = {round(float(np.linalg.det(random_orthogonal(4, s)))) for s in range(24)}
     assert dets == {-1, 1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_frobenius_rounds_as_numpy_norm(n):
+    # the dots np.linalg.norm takes: for complex entries those of the real and
+    # imaginary parts as strided views (contiguous copies of the parts move
+    # about one Gram deviation norm in ten by an ulp)
+    q = transforms._haar(np.random.default_rng(n), n, (500,), complex_=True)
+    gram = np.swapaxes(q.conj(), -1, -2) @ q - np.eye(n)
+    for ms in (gram, q, q.real.copy(), q[..., :1].copy()):
+        assert transforms._frobenius(ms).tolist() == [np.linalg.norm(m) for m in ms]
