@@ -29,8 +29,9 @@ from .reporting import Report, array_to_json, format_float, render_report
 # per-unit peaks were measured with tracemalloc (NumPy 2.4, x86-64) at 2000-
 # 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
-    # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2) and tests
-    # its 100 closure products as one stack: 79 MB traced at 64
+    # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2): 29.2 MB
+    # traced at 64; wootters peaks at 67 MB traced at 64 (one pair, budget 1),
+    # most of it the real parts of the certifier's 2000 Gaussian draws (66 MB)
     "n": 64,
     # (trials, n) counts and the posterior pass's temporaries: ~1.6 kB per
     # trial at n = 64, ~0.4 GB at the cap
@@ -42,16 +43,16 @@ SIZE_CAPS = {
     # restarts reset one Generator, so memory stays flat (170 and 174 kB traced
     # at 1000 and 4000 restarts, n = 2; 40 and 71 kB at 100 and 400, n = 8);
     # the cap bounds the time, ~1.5 min for one n = 2 pair at ~0.85 ms per
-    # restart and ~25 min for one n = 8 pair at ~15 ms per restart
+    # restart and ~11-22 h for one n = 64 pair at ~0.4-0.8 s per restart
     "budget": 100_000,
-    # correspondence takes draws in passes of at most 8 (1.24 MB traced at
-    # n = 8 for 1000 and 4000 draws; 78.8 MB at n = 64 for 40 and 160, most of
-    # it the constructed maps and the closure stack) and wootters' envelope
-    # 1000 draws per array pass (4.8 MB traced at n = 8, 2000 and 5000 draws:
-    # the battery's high-water, above the certifier's 3.6 MB for its 2000
-    # draws per pair), so memory stays flat; the cap bounds the time, ~5 min
-    # at ~0.32 ms per correspondence draw (~2.3 ms at n = 64) and ~1.5 min at
-    # ~0.1 ms per envelope draw (n = 8)
+    # correspondence takes draws in passes of at most 8 (1.7 MB traced at
+    # n = 8 for 1000 and 4000 draws; 29.2 MB at n = 64 for 40 and 160, nearly
+    # all of it the constructed maps) and wootters' envelope in passes of
+    # transforms._PASS_BYTES of measurements (0.95 MB traced at n = 8 for 2000
+    # and 5000 draws, 0.81 MB at n = 64 for 8, 64 and 1000), so memory stays
+    # flat; the cap bounds the time, ~5 min at ~0.32 ms per correspondence
+    # draw (~2.3 ms at n = 64) and ~1.5 min at ~0.08 ms per envelope draw at
+    # n = 8 (~20 min at ~1.2 ms, n = 64)
     "draws": 1_000_000,
 }
 
@@ -125,11 +126,6 @@ class RunConfig:
         for name, cap in SIZE_CAPS.items():
             if getattr(self, name) > cap:
                 raise ValidationError(f"--{name} must be at most {cap}")
-        if self.command in ("wootters", "all") and self.n > distmax.MAX_DIMENSION:
-            # the optimizer's own cap, checked here before any battery runs
-            raise ValidationError(
-                f"--n must be at most {distmax.MAX_DIMENSION} for wootters"
-            )
         if not 0.0 < self.delta < 1.0 / self.n:
             raise ValidationError("--delta must lie in (0, 1/n)")
         if 1.0 / self.n + self.delta == 1.0 / self.n:
@@ -355,32 +351,24 @@ def run_metric_check(cfg: RunConfig) -> Report:
     return report
 
 
-# maps per correspondence pass: each of the probe's (maps, 32, 17, 2n) float
-# arrays stays within this many bytes, 8 maps at n = 2, 2 at n = 8 and 1 from
-# n = 9 on.  The probe's traced peak per pass is ~0.45 MB up to n = 8 and
-# 1.3 MB at n = 64 (NumPy 2.4, x86-64).  Passes of 16 maps at n = 2 ran no
-# faster and left the peak RSS of the five default batteries ~0.3 MB higher
-_PASS_BYTES = 140_000
 # items whose seeds are drawn, and seeded by _streams, together
 _SEED_GROUP = 256
 # the kind of each branch of the constructed maps, beta 0 and 1
 _BRANCHES = (transforms.TransformKind.TYPE1, transforms.TransformKind.TYPE2)
 
 
-def _pass_size(dim: int) -> int:
-    # maps of sphere dimension dim per correspondence pass
-    return max(1, _PASS_BYTES // (transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8))
-
-
 def _passes(rng: np.random.Generator, count: int, columns: int, dim: int):
     """Split count items, each seeded by `columns` rng.integers(2**62) draws
-    in draw order, into passes whose probe temporaries fit _PASS_BYTES.
+    in draw order, into transforms._per_pass passes of the probe's
+    (maps, dim, states, shifts + 1) floats.
 
     Yield each pass's start and size, and per column an iterator of
     np.random.default_rng(seed) Generators that the pass draws its items
     from.  Seeds are drawn for _SEED_GROUP items at a time.
     """
-    per_pass = _pass_size(dim)
+    per_pass = transforms._per_pass(
+        transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8
+    )
     for group in range(0, count, _SEED_GROUP):
         seeds = rng.integers(2**62, size=(min(_SEED_GROUP, count - group), columns))
         gens = [streams(column) for column in seeds.T]
@@ -496,12 +484,19 @@ def _closure_violations(rng: np.random.Generator, maps: np.ndarray) -> int:
     """Over 25 rounds of Type1 maps a1, b1 and Type2 maps a2, b2 of
     maps[0] and maps[1], drawn by rng.integers in that order, the products
     a1 b1, a1 a2, a2 a1, a2 b2 not of kind Type1, Type2, Type2, Type1; the
-    100 products are one stack."""
+    100 products run in transforms._per_pass stacks."""
     pick = rng.integers(maps.shape[1], size=(25, 4))
-    prods = maps[[0, 0, 1, 1], pick[:, [0, 0, 2, 2]]] @ maps[[0, 1, 0, 1], pick[:, [1, 2, 0, 3]]]
-    transforms._require_isometries(prods, NotOrthogonal, "m.T @ m")
-    kinds = transforms._commutation(prods)[0]
-    return int(np.count_nonzero(kinds != np.array(_BRANCHES)[[0, 1, 1, 0]]))
+    # per product in round order, each factor's branch and map index
+    beta_a, beta_b = np.tile([0, 0, 1, 1], 25), np.tile([0, 1, 0, 1], 25)
+    index_a, index_b = pick[:, [0, 0, 2, 2]].ravel(), pick[:, [1, 2, 0, 3]].ravel()
+    kinds = np.array(_BRANCHES)[beta_a ^ beta_b]  # the kind of each product
+    per_pass = transforms._per_pass(8 * maps.shape[-1] ** 2)
+    violations = 0
+    for part in (slice(lo, lo + per_pass) for lo in range(0, 100, per_pass)):
+        prods = maps[beta_a[part], index_a[part]] @ maps[beta_b[part], index_b[part]]
+        transforms._require_isometries(prods, NotOrthogonal, "m.T @ m")
+        violations += int(np.count_nonzero(transforms._commutation(prods)[0] != kinds[part]))
+    return violations
 
 
 def run_correspondence(cfg: RunConfig) -> Report:
@@ -638,13 +633,8 @@ def run_born_check(cfg: RunConfig) -> Report:
     return report
 
 
-# draws per envelope pass: 4.8 MB traced at n = 8, the battery's memory
-# high-water (the certifier's 2000 draws per pair peak at 3.6 MB)
-_ENVELOPE_CHUNK = 1000
-
-
-def _envelope_distances(rng: np.random.Generator, n: int, size: int):
-    """(d_S, d_H) arrays of `size` envelope draws.
+def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
+    """Yield (d_S, d_H) arrays of `draws` envelope draws, one pair per pass.
 
     Draw k takes u and v as random_complex_state does, then the seed of its
     Haar measurement W, from rng.  d_S is statistical_distance of the outcome
@@ -653,20 +643,23 @@ def _envelope_distances(rng: np.random.Generator, n: int, size: int):
     whole stack and only the final norms run per draw, the same arithmetic as
     building a Measurement and two ProbDist objects per draw.
     """
-    ab = np.empty((2, size, n), dtype=complex)
-    seeds = np.empty(size, dtype=np.int64)
-    for k in range(size):
-        ab[0, k] = statespace._random_amplitudes(rng, n)
-        ab[1, k] = statespace._random_amplitudes(rng, n)
-        seeds[k] = rng.integers(2**62)
-    w = transforms._haar_seeded(streams(seeds), size, n, complex_=True)
-    transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
-    # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
-    sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
-    simplex._check_rows(sq, "probs")
-    ds = simplex._distance_rows(*sq[1])
-    dh = np.array([distmax._hilbert_angle(ab[0, k], ab[1, k]) for k in range(size)])
-    return ds, dh
+    per_pass = transforms._per_pass(16 * n * n)
+    for start in range(0, draws, per_pass):
+        size = min(per_pass, draws - start)
+        ab = np.empty((2, size, n), dtype=complex)
+        seeds = np.empty(size, dtype=np.int64)
+        for k in range(size):
+            ab[0, k] = statespace._random_amplitudes(rng, n)
+            ab[1, k] = statespace._random_amplitudes(rng, n)
+            seeds[k] = rng.integers(2**62)
+        w = transforms._haar_seeded(streams(seeds), size, n, complex_=True)
+        transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
+        # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
+        sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
+        simplex._check_rows(sq, "probs")
+        ds = simplex._distance_rows(*sq[1])
+        dh = np.array([distmax._hilbert_angle(ab[0, k], ab[1, k]) for k in range(size)])
+        yield ds, dh
 
 
 def run_wootters(cfg: RunConfig) -> Report:
@@ -700,10 +693,7 @@ def run_wootters(cfg: RunConfig) -> Report:
     report.le("certified_minus_max_ds", cert_minus_max, 1e-9)
     report.le("certified_minus_hilbert", cert_minus_hilbert, 1e-9)
 
-    envelope = -math.inf
-    for start in range(0, cfg.draws, _ENVELOPE_CHUNK):
-        ds, dh = _envelope_distances(rng, n, min(_ENVELOPE_CHUNK, cfg.draws - start))
-        envelope = max(envelope, float(np.max(ds - dh)))
+    envelope = max(float(np.max(ds - dh)) for ds, dh in _envelope_distances(rng, n, cfg.draws))
     report.le("envelope_max_violation", envelope, 1e-9)
 
     report.details = {

@@ -55,9 +55,8 @@ from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .simplex import _angle_between, _integer, _vector
 from .statespace import ComplexState
-from .transforms import _haar, _haar_from_gaussian
+from .transforms import _haar, _haar_from_gaussian, _per_pass
 
-MAX_DIMENSION = 8
 _MIN_STEP = 1e-8  # the n = 2 search stops once its step falls below this
 # The descent from n = 3 (see _descend).  Over 1350 descents (n = 3, 4 and
 # 8; 45 pairs each, 10 restarts), 244 of the 245 that stopped 1e-13 or more
@@ -73,10 +72,9 @@ _SMOOTHING = (1e-2, 1e-5, 1e-8)
 _SMOOTHING_STEPS = 60
 _EPS = 2.0**-52
 _TINY = np.finfo(float).tiny
-# certify_upper_bound draws 4096 Haar matrices at a time and runs their QR,
-# products and ranking over sub-batches of about 256 kB of matrices
+# certify_upper_bound draws its Gaussians 4096 Haar matrices at a time, which
+# fixes its values; their QR, products and ranking run in _per_pass batches
 _CERTIFY_CHUNK = 4096
-_CERTIFY_BATCH_BYTES = 256 * 1024
 
 
 def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
@@ -331,12 +329,10 @@ def maximize_statistical_distance(
     objective evaluation of all restarts: at n = 2 each restart's start and
     every coordinate candidate; from n = 3 the start of every descent
     (kicked ones included) and every line-search trial, the smoothed
-    continuation's included.  Dimension is capped at 8.
+    continuation's included.
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
-    if u.n > MAX_DIMENSION:
-        raise ValidationError(f"dimension {u.n} exceeds the supported cap {MAX_DIMENSION}")
     budget = _integer(budget, "budget")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
@@ -390,20 +386,20 @@ def certify_upper_bound(
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    batch = max(1, _CERTIFY_BATCH_BYTES // (16 * u.n * u.n))
+    batch = _per_pass(16 * u.n * u.n)
     best = 0.0
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, _CERTIFY_CHUNK)
         remaining -= chunk
-        # the draws of _haar(rng, n, (chunk,), complex_=True), whose QR and
-        # ranking run over sub-batches: the same matrices, and the chunk's
-        # first best-ranked draw
+        # the draws of _haar(rng, n, (chunk,), complex_=True), all real parts
+        # first; each sub-batch draws its imaginary parts as it runs, the same
+        # stream: the same matrices, and the chunk's first best-ranked draw
         re = rng.standard_normal((chunk, u.n, u.n))
-        im = rng.standard_normal((chunk, u.n, u.n))
         top = -1.0
         for lo in range(0, chunk, batch):
-            q = _haar_from_gaussian(re[lo:lo + batch] + 1j * im[lo:lo + batch])
+            part = re[lo:lo + batch]
+            q = _haar_from_gaussian(part + 1j * rng.standard_normal(part.shape))
             x, y = np.abs(q @ u.v), np.abs(q @ v.v)
             # rank by tan(d/2) = |x - y| / |x + y|: close states' overlaps all round to 1
             ratio = np.linalg.norm(x - y, axis=1) / np.linalg.norm(x + y, axis=1)

@@ -85,12 +85,12 @@ class RealState:
 
 
 def _check_unit_rows(q: np.ndarray) -> None:
-    """RealState's check of every row (last axis) of a (..., 2N) array of
-    finite entries in one pass: unit norm within NORMALIZATION_TOL and
-    entries in [-1, 1]."""
-    if (np.abs(_row_dots(q, q) - 1.0) > NORMALIZATION_TOL).any():
+    """RealState's check of every row (last axis) of a (..., 2N) array in
+    one pass: unit norm within NORMALIZATION_TOL and entries in [-1, 1]; a
+    row with a non-finite entry fails the first."""
+    if not (np.abs(_row_dots(q, q) - 1.0) <= NORMALIZATION_TOL).all():
         raise ValidationError("q must have unit norm within 1e-12")
-    if (np.abs(q) > 1.0 + NORMALIZATION_TOL).any():
+    if not (np.abs(q) <= 1.0 + NORMALIZATION_TOL).all():
         raise ValidationError("entries of a unit vector must lie in [-1, 1]")
 
 

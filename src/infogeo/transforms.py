@@ -65,7 +65,7 @@ def _require_isometries(m: np.ndarray, error: type, what: str) -> np.ndarray:
     return each matrix's Frobenius norm of m^dagger @ m - I."""
     defects = _frobenius(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
     defect = np.max(defects, initial=0.0)
-    if defect > STRUCTURAL_TOL:
+    if not defect <= STRUCTURAL_TOL:  # a NaN defect fails too
         raise error(f"{what} deviates from I by {defect:.3e} (tol {STRUCTURAL_TOL:g})")
     return defects
 
@@ -365,6 +365,19 @@ def _gaussian(rng: np.random.Generator, shape: tuple, complex_=False) -> np.ndar
     # standard normals of shape; complex ones take every real part first
     z = rng.standard_normal(shape)
     return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+
+# The byte budget of every array pass whose arrays grow with n: a pass takes
+# _per_pass(item_bytes) items, item_bytes being its largest array per item.
+# It sizes correspondence's map passes (the probe's (maps, 32, 17, 2n) floats)
+# and closure products ((2n)^2 floats), and wootters' envelope draws and
+# certifier sub-batches (n^2 complex).  At n = 2, 16 maps per pass ran no
+# faster than 8 and raised the default batteries' peak RSS by ~0.3 MB.
+_PASS_BYTES = 140_000
+
+
+def _per_pass(item_bytes: int) -> int:
+    return max(1, _PASS_BYTES // item_bytes)
 
 
 def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:

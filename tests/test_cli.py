@@ -48,15 +48,15 @@ from infogeo.cli import (
     _envelope_distances,
     _haar_draws,
     _interior_dist,
-    _pass_size,
     _kl_fisher_errors,
     _worst_pullback,
     build_parser,
     main,
     run_all,
     run_correspondence,
+    run_wootters,
 )
-from infogeo.distmax import MAX_DIMENSION
+from infogeo import distmax, transforms
 from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
 from infogeo.reporting import Report, array_from_json, array_to_json
 
@@ -118,29 +118,20 @@ def test_config_validation_rules():
 
 
 @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
-def test_size_caps_exit_two_before_allocating(name, capsys):
-    cap = SIZE_CAPS[name]
-    # all takes every option at its cap except n, which wootters caps lower
-    RunConfig("correspondence" if name == "n" else "all", seed=1, **{name: cap}).validate()
-    with pytest.raises(ValidationError, match=f"--{name} must be at most {cap}"):
-        RunConfig("all", seed=1, **{name: cap + 1}).validate()
-    # validation runs before any battery, so this allocates nothing
-    code, out, err = run(["all", "--seed", "1", f"--{name}", str(10**30)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"config error: --{name} must be at most {cap}")
-
-
-@pytest.mark.parametrize("command", ["wootters", "all"])
-def test_wootters_dimension_cap_exits_two_before_any_battery(command, monkeypatch, capsys):
+def test_size_caps_exit_two_before_allocating(name, monkeypatch, capsys):
     def never(cfg):
         pytest.fail("a battery ran")
 
-    for name in _RUNNERS:
-        monkeypatch.setitem(_RUNNERS, name, never)
-    RunConfig(command, seed=7, n=MAX_DIMENSION).validate()
-    code, out, err = run([command, "--n", str(MAX_DIMENSION + 1), "--seed", "7"], capsys)
+    cap = SIZE_CAPS[name]
+    RunConfig("all", seed=1, **{name: cap}).validate()
+    with pytest.raises(ValidationError, match=f"--{name} must be at most {cap}"):
+        RunConfig("all", seed=1, **{name: cap + 1}).validate()
+    # validation runs before any battery, so this allocates nothing
+    for battery in _RUNNERS:
+        monkeypatch.setitem(_RUNNERS, battery, never)
+    code, out, err = run(["all", "--seed", "1", f"--{name}", str(10**30)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith(f"config error: --n must be at most {MAX_DIMENSION}")
+    assert err.startswith(f"config error: --{name} must be at most {cap}")
 
 
 def test_single_monte_carlo_trial_is_a_config_error(capsys):
@@ -717,16 +708,39 @@ def _per_draw_envelope(rng, n, draws):
 
 @pytest.mark.parametrize("seed", [7, 42])
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_envelope_matches_per_draw_loop(n, seed):
+def test_envelope_matches_per_draw_loop(n, seed, monkeypatch):
     ref = _per_draw_envelope(np.random.default_rng(seed), n, 500)
-    rng = np.random.default_rng(seed)
-    # two passes, so the second starts where the first left the stream
-    first, second = _envelope_distances(rng, n, 300), _envelope_distances(rng, n, 200)
-    ds = np.concatenate((first[0], second[0]))
-    dh = np.concatenate((first[1], second[1]))
-    assert ds.tolist() == ref[:, 0].tolist()
-    assert dh.tolist() == ref[:, 1].tolist()
-    assert np.max(ds - dh) == np.max(ref[:, 0] - ref[:, 1])
+    # at the pass budget and in passes of 7 draws
+    for pass_bytes in (transforms._PASS_BYTES, 7 * 16 * n * n):
+        monkeypatch.setattr(transforms, "_PASS_BYTES", pass_bytes)
+        rng = np.random.default_rng(seed)
+        # two calls, so the second starts where the first left the stream
+        passes = [*_envelope_distances(rng, n, 300), *_envelope_distances(rng, n, 200)]
+        ds, dh = (np.concatenate(arrays) for arrays in zip(*passes))
+        assert ds.tolist() == ref[:, 0].tolist()
+        assert dh.tolist() == ref[:, 1].tolist()
+        assert np.max(ds - dh) == np.max(ref[:, 0] - ref[:, 1])
+
+
+def test_envelope_traced_peak_does_not_grow_with_draws():
+    import tracemalloc
+
+    def envelope(draws):
+        # run_wootters' reduction over the passes
+        rng = np.random.default_rng(1)
+        return max(float(np.max(ds - dh)) for ds, dh in _envelope_distances(rng, 64, draws))
+
+    envelope(8)
+    peaks = []
+    for draws in (8, 64):
+        tracemalloc.start()
+        try:
+            envelope(draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one more draw's Haar measurement alone would take 64 kB
+    assert peaks[1] <= peaks[0] + 16 * 1024
 
 
 def test_envelope_checks_unitarity_and_normalization(monkeypatch):
@@ -736,16 +750,21 @@ def test_envelope_checks_unitarity_and_normalization(monkeypatch):
     haar = transforms._haar_from_gaussian
     monkeypatch.setattr(transforms, "_haar_from_gaussian", lambda z: 1.001 * haar(z))
     with pytest.raises(NotUnitary):
-        _envelope_distances(np.random.default_rng(7), 3, 20)
+        list(_envelope_distances(np.random.default_rng(7), 3, 20))
     monkeypatch.setattr(transforms, "_haar_from_gaussian", haar)
     amplitudes = statespace._random_amplitudes
     monkeypatch.setattr(statespace, "_random_amplitudes", lambda rng, n: 1.001 * amplitudes(rng, n))
     with pytest.raises(ValidationError, match="probs sum to"):
-        _envelope_distances(np.random.default_rng(7), 3, 20)
+        list(_envelope_distances(np.random.default_rng(7), 3, 20))
 
 
 # ---------------------------------------------------------------------------
 # the correspondence battery's array passes against per-map public calls
+
+
+def _probe_pass(dim):
+    # maps per correspondence pass: the probe's (maps, 32, 17, dim) floats
+    return transforms._per_pass(transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8)
 
 
 def _per_draw_haar(rng, draws, dim):
@@ -779,7 +798,7 @@ def _per_draw_haar(rng, draws, dim):
 @pytest.mark.parametrize("draws", ["1", "pass-1", "pass+1", "1000"])
 def test_haar_draws_equal_per_draw_public_calls(n, draws):
     dim = 2 * n
-    draws = {"1": 1, "pass-1": _pass_size(dim) - 1, "pass+1": _pass_size(dim) + 1,
+    draws = {"1": 1, "pass-1": _probe_pass(dim) - 1, "pass+1": _probe_pass(dim) + 1,
              "1000": 1000}[draws]
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     got = _haar_draws(rng, draws, dim)
@@ -858,7 +877,7 @@ def _per_round_closure(rng, type1_maps, type2_maps):
 @pytest.mark.parametrize("count", ["1", "pass-1", "pass+1", "100"])
 def test_constructed_maps_and_closure_equal_per_map_public_calls(n, count):
     dim = 2 * n
-    constructed = {"1": 1, "pass-1": _pass_size(dim) - 1, "pass+1": _pass_size(dim) + 1,
+    constructed = {"1": 1, "pass-1": _probe_pass(dim) - 1, "pass+1": _probe_pass(dim) + 1,
                    "100": 100}[count]
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     report = Report("correspondence", {})
@@ -896,6 +915,59 @@ def test_constructed_pass_and_closure_keep_their_exception_types(monkeypatch):
     monkeypatch.setattr(statespace, "_real_states_seeded", states)
     with pytest.raises(NotOrthogonal):
         _closure_violations(np.random.default_rng(7), 1.001 * run())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_closure_in_passes_equals_one_stack(n, monkeypatch):
+    # Type1 maps against Type1 and Type2 maps alternating, so that some
+    # products break the sign rule
+    us = [random_unitary(n, seed) for seed in range(10)]
+    type1 = [from_unitary(u) for u in us]
+    mixed = [from_antiunitary(u) if k % 2 else from_unitary(u) for k, u in enumerate(us)]
+    maps = np.stack((type1, mixed))
+
+    def closure(per_pass):
+        monkeypatch.setattr(transforms, "_PASS_BYTES", per_pass * 8 * (2 * n) ** 2)
+        rng = np.random.default_rng(5)
+        return _closure_violations(rng, maps), rng.bit_generator.state
+
+    whole = closure(100)
+    assert whole[0] == _per_round_closure(np.random.default_rng(5), type1, mixed) > 0
+    for per_pass in (1, 7):
+        assert closure(per_pass) == whole
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_every_pass_stays_within_the_pass_budget(n, monkeypatch):
+    # per call of a pass's kernels: its items and its largest array's bytes
+    passes = []
+    probe, commutation, haar = (
+        transforms._probe_stack, transforms._commutation, transforms._haar_from_gaussian
+    )
+
+    def probe_stack(ms, qs, chi0s, g):
+        # the probe's (maps, dim, states, shifts + 1) work array
+        passes.append(("probe", len(ms), len(ms) * qs[0].size * (chi0s.shape[1] + 1) * 8))
+        return probe(ms, qs, chi0s, g)
+
+    def commutation_test(ms):
+        passes.append(("commutation", len(ms), ms.nbytes))
+        return commutation(ms)
+
+    def haar_from_gaussian(z):
+        passes.append(("haar", len(z), z.nbytes))
+        return haar(z)
+
+    monkeypatch.setattr(transforms, "_probe_stack", probe_stack)
+    monkeypatch.setattr(transforms, "_commutation", commutation_test)
+    monkeypatch.setattr(transforms, "_haar_from_gaussian", haar_from_gaussian)
+    monkeypatch.setattr(distmax, "_haar_from_gaussian", haar_from_gaussian)
+    assert run_correspondence(RunConfig("correspondence", n=n, seed=1, draws=3)).overall_passed
+    cfg = RunConfig("wootters", n=n, seed=1, pairs=1, budget=1, draws=300)
+    assert run_wootters(cfg).overall_passed
+    assert {kind for kind, _, _ in passes} == {"probe", "commutation", "haar"}
+    for kind, items, largest in passes:
+        assert items == 1 or largest <= transforms._PASS_BYTES, (kind, items, largest)
 
 
 def test_correspondence_traced_peak_does_not_grow_with_draws():

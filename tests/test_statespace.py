@@ -33,7 +33,7 @@ from infogeo import (
     to_complex,
     to_polar,
 )
-from infogeo.statespace import SLOPE_REL_TOL
+from infogeo.statespace import SLOPE_REL_TOL, _check_unit_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,6 +73,16 @@ def test_real_state_validation():
     with pytest.raises(ValidationError):
         RealState([1.0, 1.0, 0.0, 0.0])  # not unit norm
     assert RealState([1.0, 0.0, 0.0, 0.0]).n_outcomes == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_unit_row_check_rejects_non_finite_entries(bad):
+    # the batteries' images reach this check without RealState's finiteness guard
+    q = np.full((3, 4), 0.5)
+    _check_unit_rows(q)
+    q[1, 2] = bad
+    with pytest.raises(ValidationError, match="unit norm"):
+        _check_unit_rows(q)
 
 
 def test_polar_state_reduces_angles():

@@ -194,6 +194,19 @@ def test_isometry_check_covers_every_matrix_of_a_stack():
         require_unitary(stack[2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_isometry_check_rejects_non_finite_entries(bad):
+    # the batteries' draws reach this check without the public finiteness guard
+    for error, stack in (
+        (NotOrthogonal, np.stack([random_orthogonal(4, seed) for seed in range(3)])),
+        (NotUnitary, np.stack([random_unitary(3, seed) for seed in range(3)])),
+    ):
+        stack[1, 0, 2] = bad
+        # an inf entry puts inf * 0 into m^dagger @ m, which NumPy may flag
+        with np.errstate(invalid="ignore"), pytest.raises(error, match="deviates from I by"):
+            _require_isometries(stack, error, "stack")
+
+
 def test_wrong_type_conversions_raise():
     u = random_unitary(2, 5)
     with pytest.raises(WrongType):
