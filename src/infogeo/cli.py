@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,12 +39,17 @@ SIZE_CAPS = {
     "trials": 250_000,
     # metric-check's rows: ~7 kB per tangent at n = 64, ~0.35 GB at the cap
     "tangents": 50_000,
-    # wootters keeps one table row per pair: ~4.7 kB each, ~0.24 GB at the cap
+    # wootters keeps one table row per pair, ~0.7 kB each (~35 MB at the cap);
+    # the rest stays flat, as the optimizer runs pairs x restarts in passes
+    # (budget 10: 1.52 and 1.74 MB traced at 100 and 400 pairs, n = 2; 2.42
+    # and 2.47 MB at 20 and 80, n = 8)
     "pairs": 50_000,
-    # restarts reset one Generator, so memory stays flat (170 and 174 kB traced
-    # at 1000 and 4000 restarts, n = 2; 40 and 71 kB at 100 and 400, n = 8);
-    # the cap bounds the time, ~1.5 min for one n = 2 pair at ~0.85 ms per
-    # restart and ~11-22 h for one n = 64 pair at ~0.4-0.8 s per restart
+    # the optimizer runs restarts in passes of transforms._PASS_BYTES of their
+    # largest arrays (546 restarts at n = 2, 136 at n = 8, 2 at n = 64), so
+    # memory stays flat (1.56 and 1.64 MB traced at 1000 and 4000 restarts of
+    # one pair, n = 2; 1.05 and 1.67 MB at 100 and 400, n = 8); the cap bounds
+    # the time, ~13-20 s for one n = 2 pair at ~0.13-0.2 ms per restart and
+    # ~21-25 h for one n = 64 pair at ~0.75-0.9 s per restart
     "budget": 100_000,
     # correspondence takes draws in passes of at most 8 (1.7 MB traced at
     # n = 8 for 1000 and 4000 draws; 29.2 MB at n = 64 for 40 and 160, nearly
@@ -673,13 +679,21 @@ def run_wootters(cfg: RunConfig) -> Report:
     cert_minus_max = -math.inf
     cert_minus_hilbert = -math.inf
     pair_table = []
-    for _ in range(cfg.pairs):
-        u = statespace.random_complex_state(n, rng)
-        v = statespace.random_complex_state(n, rng)
-        res = distmax.maximize_statistical_distance(
-            u, v, budget=cfg.budget, seed=int(rng.integers(2**62))
-        )
-        cert = distmax.certify_upper_bound(u, v, samples=2000, seed=int(rng.integers(2**62)))
+    # each pair draws u, v, the optimizer's seed and the certifier's, in
+    # order, as the optimizer asks for it
+    certify = deque()
+
+    def pairs():
+        for _ in range(cfg.pairs):
+            u = statespace.random_complex_state(n, rng)
+            v = statespace.random_complex_state(n, rng)
+            seed = int(rng.integers(2**62))
+            certify.append((u, v, int(rng.integers(2**62))))
+            yield u, v, seed
+
+    for res in distmax._maximize_pairs(pairs(), cfg.budget):
+        u, v, seed = certify.popleft()
+        cert = distmax.certify_upper_bound(u, v, samples=2000, seed=seed)
         cert_minus_max = max(cert_minus_max, cert - res.max_ds)
         cert_minus_hilbert = max(cert_minus_hilbert, cert - res.hilbert_distance)
         pair_table.append(

@@ -7,37 +7,34 @@ distributions have statistical distance d_S(W), defined by
 
 and the supremum over measurements equals the Hilbert-space angle d_H,
 cos d_H = |u^dagger v|.  Each angle is computed as 2 atan2(|x - y|, |x + y|)
-by simplex._angle_between (x = |W u|, y = |W v| for d_S), which keeps full
-precision as the angle tends to 0.
+by simplex._angle_between (x = |W u|, y = |W v| for d_S, with x - y formed
+from W (v - u), see _distance_after), which keeps full precision as the
+angle tends to 0.
 
 The maximizer minimizes the overlap sum_i |x_i| |y_i| of x = W u, y = W v,
 which falls as d_S grows; only the reported maximum becomes an angle.  Each
 of its restarts starts from a uniform random point of a surjective chart of
 U(n), U = D M with D a diagonal of output phases and M = G_1 ... G_m a
-QR-style ladder of complex plane rotations (unitary_from_params).
+QR-style ladder of complex plane rotations (unitary_from_params), and is
+Riemannian steepest descent on U(n) with an Armijo step (Abrudan, Eriksson &
+Koivunen 2008, IEEE TSP 56(3):1134); see _descend.  It scores W by the
+overlap less 1, computed as -sum_i (|x_i| - |y_i|)^2 / 2, which keeps its
+relative precision as the states close (see _overlap).  The overlap has a
+kink wherever an output modulus is 0, and a descent can stall at or near
+one, short of the angle; near-orthogonal pairs, whose minimum sits at the
+kinks, often stall.  A stalled descent continues through the smoothed
+overlaps sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2), eps = 1e-2, 1e-5, 1e-8, and
+descends again.  If it is still stalled, the restart kicks W by a Haar
+unitary drawn from its own substream (K W is Haar whatever W is, so the
+kick is a fresh start) and starts over, keeping the lower overlap.
 
-- At n = 2 the ladder is one rotation G(theta, zeta), and a restart is a
-  derivative-free coordinate search over (theta, zeta) with step halving.
-  Since |(D M a)_i| = |(M a)_i|, the phases cannot change d_S and keep their
-  random start values.  A candidate scores from a (4, 4) table built once
-  per restart: a (4,) by (4, 4) product, a modulus and a dot.
-- From n = 3 a restart is Riemannian steepest descent on U(n) with an
-  Armijo step (Abrudan, Eriksson & Koivunen 2008, IEEE TSP 56(3):1134); see
-  _descend.  It scores W by the overlap less 1, computed as
-  -sum_i (|x_i| - |y_i|)^2 / 2, which keeps its relative precision as the
-  states close (see _overlap).  The overlap has a kink wherever an output modulus is 0, and a
-  descent can stall at or near one, short of the angle; near-orthogonal
-  pairs, whose minimum sits at the kinks, stall every time.  A stalled
-  descent continues through the smoothed overlaps
-  sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2), eps = 1e-2, 1e-5, 1e-8, and descends
-  again.  If it is still stalled, the restart kicks W by a Haar unitary
-  drawn from its own substream (K W is Haar whatever W is, so the kick is a
-  fresh start) and starts over, keeping the lower overlap.
-
-The split follows the per-pair cost (median of 20 pairs, 10 restarts, two
-sessions on a 2-core x86-64 VM): the coordinate search takes 5.5-7.2 ms at
-n = 2 against the descent's 12-14 ms, and 61-107 ms at n = 3 against
-33-34 ms; at n = 8 it takes 12-19 s and the descent 0.15 s.
+The gradient depends on the outputs x, y alone, so a restart moves them and
+never forms W; the reported measurement is built from its final outputs
+(_measurements).  The restarts of every pair of a battery run as one stack
+(_maximize_pairs): each descent step takes one stacked eigh for all of them,
+and each restart keeps its own step size and line search, so its result
+does not depend on the stack it runs in.  maximize_statistical_distance is a
+stack of one pair.
 
 A Haar-sampling certifier provides an independent stochastic lower envelope
 of the same supremum.
@@ -45,7 +42,9 @@ of the same supremum.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +54,13 @@ from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .simplex import _angle_between, _integer, _vector
 from .statespace import ComplexState
-from .transforms import _haar, _haar_from_gaussian, _per_pass
+from .transforms import _gaussian, _haar_from_gaussian, _per_pass
 
-_MIN_STEP = 1e-8  # the n = 2 search stops once its step falls below this
-# The descent from n = 3 (see _descend).  Over 1350 descents (n = 3, 4 and
-# 8; 45 pairs each, 10 restarts), 244 of the 245 that stopped 1e-13 or more
+# The descent (see _descend).  Over 1800 first descents (n = 2, 3, 4 and 8;
+# 45 pairs each, 10 restarts), 256 of the 257 that stopped 1e-13 or more
 # short of the angle, at a kink or on a slow approach to one, stalled by this
-# rule (the other stopped 1.1e-13 short); 8 of the 1105 that reached it did
-# too.
+# rule (the other stopped 1.1e-13 short; none stopped short at n = 2); 11 of
+# the 1543 that reached it did too.
 _MAX_STEPS = 300
 _STALL_STEP = 2.0**-8
 _STALL_MODULUS = 2.0**-6
@@ -92,16 +90,22 @@ def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
 
 def _hilbert_angle(a: np.ndarray, b: np.ndarray) -> float:
     # hilbert_distance of the amplitude rows a, b
-    overlap = complex(np.vdot(a, b))
-    w = b if overlap == 0.0 else b * (abs(overlap) / overlap)
+    w = _aligned(a, b)
     return _angle_between(a - w, a + w)
+
+
+def _aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # b times the phase that makes a^dagger b = |a^dagger b|
+    overlap = complex(np.vdot(a, b))
+    return b if overlap == 0.0 else b * (abs(overlap) / overlap)
 
 
 @dataclass(frozen=True, eq=False)
 class DistinguishabilityResult:
     """Best found measurement distance and its gap to the Hilbert angle.
 
-    evaluations counts the objective evaluations of all restarts.
+    evaluations counts the overlaps scored by all restarts: the start of
+    every descent and every line-search trial.
     """
 
     max_ds: float
@@ -148,166 +152,314 @@ def unitary_from_params(params: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distance_after(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    x, y = np.abs(w @ a), np.abs(w @ b)
-    return _angle_between(x - y, x + y)
+    # d_S of the measurement W: the angle between |W a| and |W b|.  A global
+    # phase leaves |W b| alone, so with b' = _aligned(a, b), x = W a and
+    # d = W (b' - a), |W b| - |W a| = Re((2 x + d) conj(d)) / (|x + d| + |x|):
+    # it is O(d) with the relative precision of b' - a as the states close,
+    # so d_S stays below d_H up to relative rounding
+    x = w @ a
+    d = w @ (_aligned(a, b) - a)
+    total = np.abs(x + d) + np.abs(x)
+    diff = np.zeros_like(total)
+    np.divide(np.real((2.0 * x + d) * d.conj()), total, out=diff, where=total > 0.0)
+    return _angle_between(diff, total)
 
 
-def _rotation(theta: float, zeta: float) -> tuple[float, complex]:
-    # G_ij has c on its (i, i) and (j, j) entries, e at (j, i), -conj(e) at (i, j)
-    s = math.sin(theta)
-    return math.cos(theta), complex(s * math.cos(zeta), s * math.sin(zeta))
-
-
-def _refine(ab: np.ndarray, rot: list[float], step: float) -> tuple[float, int]:
-    # The n = 2 search: coordinate-wise greedy descent of the overlap over the
-    # one rotation's (theta, zeta) = rot (updated in place); halve the step
-    # after any sweep with no improvement, stop below _MIN_STEP.  Candidates
-    # come in search order, theta +step and -step, then zeta, each taken from
-    # the current rot, and score from one table built per restart.  Returns
-    # the best overlap and the number of objective evaluations.
-    c, e = _rotation(rot[0], rot[1])
-    start = np.abs(np.stack((c * ab[0] - e.conjugate() * ab[1], e * ab[0] + c * ab[1])))
-    best = float(np.dot(start[:, 0], start[:, 1]))
-    evaluations = 1
-    # the candidate table: a candidate (c, e) outputs (1, c, e, -conj(e)) @
-    # flat, the outputs of a, then of b; the zeros of its last two rows are
-    # products with the identity, whose signs the search's path depends on
-    eye = np.eye(2, dtype=complex)
-    touched = (eye @ ab).T
-    flat = np.stack(
-        (np.zeros_like(touched), touched, ab[0, :, None] * eye[:, 1], ab[1, :, None] * eye[:, 0])
-    ).reshape(4, 4)
-    coef = np.ones(4, dtype=complex)
-    amp = np.empty(4, dtype=complex)
-    mod = np.empty(4)
-    x_mod, y_mod = mod[:2], mod[2:]
-    while step >= _MIN_STEP:
-        improved = False
-        for k in (0, 1):
-            for delta in (step, -step):
-                cand = rot[k] + delta
-                theta, zeta = (cand, rot[1]) if k == 0 else (rot[0], cand)
-                # _rotation(theta, zeta), inlined
-                s = math.sin(theta)
-                e = complex(s * math.cos(zeta), s * math.sin(zeta))
-                coef[1], coef[2], coef[3] = math.cos(theta), e, -e.conjugate()
-                np.dot(coef, flat, out=amp)
-                np.abs(amp, out=mod)
-                val = float(np.dot(x_mod, y_mod))
-                evaluations += 1
-                if val < best:
-                    rot[k], best, improved = cand, val, True
-        if not improved:
-            step *= 0.5
-    return best, evaluations
-
-
-def _overlap(xy: np.ndarray, eps: float = 0.0) -> float:
-    # The descent's objective for the outputs xy = W [a b].  For eps = 0, the
-    # overlap sum_i |x_i| |y_i| less 1, as -sum_i (|x_i| - |y_i|)^2 / 2 (the
-    # same for unit x, y), which keeps its relative precision as the states
-    # close; for eps > 0, the smoothed overlap sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2).
+def _overlap(xy: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    # The descent's objective for each (2, n) row pair xy = (W a, W b) of a
+    # (..., 2, n) stack.  For eps = 0, the overlap sum_i |x_i| |y_i| less 1,
+    # as -sum_i (|x_i| - |y_i|)^2 / 2 (the same for unit x, y), which keeps
+    # its relative precision as the states close; for eps > 0, the smoothed
+    # overlap sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2).
     mod = np.abs(xy)
     if eps == 0.0:
-        gap = mod[:, 0] - mod[:, 1]
-        return -0.5 * float(np.dot(gap, gap))
-    return float(np.sum(np.hypot(mod[:, 0] * mod[:, 1], eps)))
+        gap = mod[..., 0, :] - mod[..., 1, :]
+        return -0.5 * np.add.reduce(gap * gap, axis=-1)
+    return np.add.reduce(np.hypot(mod[..., 0, :] * mod[..., 1, :], eps), axis=-1)
+
+
+# A line-search product scores _TRIALS trial steps of each element: 2 mu,
+# mu, mu / 2, ... as multiples of mu
+_TRIALS = 4
+_HALVINGS = 2.0 ** -np.arange(-1.0, _TRIALS - 1)
+
+
+def _trials(v, lam, vxy, steps, eps):
+    # the trial outputs V diag(exp(i s lam)) V^H [x y] of each element at the
+    # steps s of its row of steps, as (size, trials, 2, n) rows, and their
+    # overlaps
+    size, n = lam.shape
+    phase = np.exp(1j * (steps[:, :, None] * lam[:, None, :]))
+    z = (vxy[:, None] * phase[:, :, None]).reshape(size, -1, n)
+    trials = (z @ v.swapaxes(1, 2)).reshape(size, -1, 2, n)
+    return trials, _overlap(trials, eps)
+
+
+def _armijo(val, slope, cut, steps, t):
+    # Per trial of a product: whether its step is measurable (it rotates by
+    # at least rounding, step >= cut, and its Armijo decrease step * slope,
+    # slope = <A, A> / 2, still changes the overlap val), and whether it is
+    # taken: measurable, with an overlap t that falls by that decrease
+    decrease = slope[:, None] * steps
+    val = val[:, None]
+    measurable = (val - decrease != val) & (steps >= cut[:, None])
+    return measurable & (val - t >= decrease), measurable
 
 
 def _descend(
-    w: np.ndarray, ab: np.ndarray, eps: float = 0.0, max_steps: int = _MAX_STEPS
-) -> tuple[np.ndarray, float, bool, int]:
-    """Armijo steepest descent of _overlap(W [a b], eps) on U(n) from w.
+    xy: np.ndarray, eps: float = 0.0, max_steps: int = _MAX_STEPS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Armijo steepest descent of _overlap(W [a b], eps) on U(n), for each
+    (2, n) row pair xy = (W a, W b) of the stack xy.
 
     Each step is W <- expm(-mu A) W with A = G W^H - W G^H, where
     G = g_x a^H + g_y b^H holds the Euclidean gradient of the overlap,
     g_x = |y|^2 x / s and g_y = |x|^2 y / s with s = sqrt(|x|^2 |y|^2 + eps^2)
     (0 where s is 0; Abrudan, Eriksson & Koivunen 2008).  Since
-    G W^H = [g_x g_y] [x y]^H, A costs O(n^2), and one eigh of the Hermitian
-    iA gives expm(-mu A) = V diag(exp(i mu lambda)) V^H for every trial
-    step.  The first trial of a step is twice the last accepted mu, halved
-    until the overlap falls by mu/2 <A, A> (Armijo's rule), with
-    <A, A> = tr(A^H A) / 2: the step doubles after every accepted step and
-    halves on every rejected trial.  The first step's first trial is
+    G W^H = [g_x g_y] [x y]^H, A depends on the outputs alone and costs
+    O(n^2), so the descent moves the outputs and never forms W.  One eigh of
+    the Hermitian iA gives expm(-mu A) = V diag(exp(i mu lambda)) V^H for
+    every trial step.  The trials of a step are twice the last accepted mu,
+    then halvings of it, scored _TRIALS per product; the step is the first
+    one that is measurable and lowers the overlap by mu/2 <A, A> (Armijo's
+    rule), with <A, A> = tr(A^H A) / 2.  The first step's first trial is
     1 / sqrt(<A, A>), so the descent starts at the same rotation angle
     however small the gradient is: for states an angle d apart the overlap
-    varies by O(d^2) and its gradient is O(d^2), and a unit first step would
-    change it by less than its rounding error.
+    and its gradient are O(d^2), and a unit step would change the overlap
+    by less than its rounding error.
 
-    The descent stops when that decrease no longer changes the overlap, or
-    after max_steps steps.  It has stalled when it ran out of steps, or
-    stopped with its last accepted mu below _STALL_STEP while a modulus of x
-    or y is below _STALL_MODULUS: the step collapses as an output heads to
-    0, at a kink of the overlap or on the slow, ill-conditioned approach to
-    one.
+    An element stops when its gradient vanishes, when a product has no
+    taken trial and ends on a step that is not measurable, or after
+    max_steps steps.  It has stalled when it ran out of steps, or stopped
+    with its last accepted mu below _STALL_STEP while a modulus of x or y is
+    below _STALL_MODULUS: the step collapses as an output heads to 0, at a
+    kink of the overlap or on the slow, ill-conditioned approach to one.
 
-    Returns W, its overlap, whether the descent stalled, and the objective
-    evaluations made: the start and every trial step.
+    The stack steps in lockstep, one stacked eigh per step, and a stopped
+    element leaves it.  Every operation acts on each element alone, so an
+    element's result does not depend on the rest of the stack.  Returns each
+    element's outputs, overlap, whether it stalled, and the objective
+    evaluations made: the start and every trial scored.
     """
-    xy = w @ ab
+    size = len(xy)
+    out_xy, out_val = np.empty_like(xy), np.empty(size)
+    stalled = np.ones(size, dtype=bool)
+    evaluations = np.ones(size, dtype=np.int64)
     val = _overlap(xy, eps)
-    evaluations = 1
+    live = np.arange(size)
     mu = None
-    for _ in range(max_steps):
+    for step in range(max_steps):
         mod = np.abs(xy)
-        s = np.hypot(mod[:, 0] * mod[:, 1], eps)
-        g = mod[:, ::-1] ** 2 * xy / np.maximum(s, _TINY)[:, None]
-        m = g @ xy.conj().T
-        skew = m - m.conj().T
-        gg = 0.5 * float(np.vdot(skew, skew).real)
-        if gg == 0.0:
-            return w, val, False, evaluations
-        if mu is None:
-            mu = 0.5 / math.sqrt(gg)
-        lam, v = np.linalg.eigh(1j * skew)
-        vxy = v.conj().T @ xy
-        step = 2.0 * mu
-        while True:
-            trial = v @ (np.exp(1j * step * lam)[:, None] * vxy)
-            t = _overlap(trial, eps)
-            evaluations += 1
-            if val - t >= 0.5 * step * gg:
+        if eps:
+            s = np.hypot(mod[:, 0] * mod[:, 1], eps)
+            g = mod[:, ::-1] ** 2 * (xy / np.maximum(s, _TINY)[:, None])
+        else:
+            # |y|^2 x / (|x| |y|) = |y| x / |x|
+            g = mod[:, ::-1] * (xy / np.maximum(mod, _TINY))
+        m = g.swapaxes(1, 2) @ xy.conj()
+        lam, v = np.linalg.eigh(1j * (m - m.conj().swapaxes(1, 2)))
+        # <A, A> = tr(A^H A) / 2, from the eigenvalues of iA
+        gg = 0.5 * np.add.reduce(lam * lam, axis=1)
+        if np.count_nonzero(gg) < len(gg):
+            # a vanishing gradient stops the element, not stalled
+            done = gg == 0.0
+            out_xy[live[done]], out_val[live[done]] = xy[done], val[done]
+            stalled[live[done]] = False
+            evaluations[live[done]] += _TRIALS * step
+            keep = ~done
+            xy, val, mod, lam, v, gg, live = (a[keep] for a in (xy, val, mod, lam, v, gg, live))
+            mu = None if mu is None else mu[keep]
+            if not live.size:
                 break
-            step *= 0.5
-            if val - 0.5 * step * gg == val or step * math.sqrt(gg) < _EPS:
-                # no step decreases the overlap measurably, or the step
-                # rotates by less than rounding
-                stalled = mu < _STALL_STEP and float(np.min(mod)) < _STALL_MODULUS
-                return w, val, stalled, evaluations
-        mu = step
-        w = (v * np.exp(1j * mu * lam)) @ (v.conj().T @ w)
-        xy, val = trial, t
-    return w, val, True, evaluations
+        root = np.sqrt(gg)
+        if mu is None:
+            mu = 0.5 / root
+        slope, cut = 0.5 * gg, _EPS / root
+        vxy = xy @ v.conj()
+        steps = mu[:, None] * _HALVINGS
+        trials, t = _trials(v, lam, vxy, steps, eps)
+        taken, measurable = _armijo(val, slope, cut, steps, t)
+        k = int(taken[0].argmax())
+        if np.count_nonzero(taken[:, k]) == len(taken) == np.count_nonzero(taken[:, : k + 1]):
+            # every element takes trial k, its first taken one
+            mu, val, xy = steps[:, k], t[:, k], trials[:, k].copy()
+        else:
+            mu, val, xy, halted = _line_search(
+                (v, lam, vxy, slope, cut), (mu, val, xy), eps,
+                (steps, trials, t, taken, measurable), evaluations, live,
+            )
+            if halted.any():
+                low = mod.reshape(len(mod), -1).min(axis=1) < _STALL_MODULUS
+                out_xy[live[halted]], out_val[live[halted]] = xy[halted], val[halted]
+                stalled[live[halted]] = (mu < _STALL_STEP)[halted] & low[halted]
+                evaluations[live[halted]] += _TRIALS * (step + 1)
+                keep = ~halted
+                xy, val, mu, live = xy[keep], val[keep], mu[keep], live[keep]
+                if not live.size:
+                    break
+    else:
+        out_xy[live], out_val[live] = xy, val
+        evaluations[live] += _TRIALS * max_steps
+    return out_xy, out_val, stalled, evaluations
 
 
-def _restart(
-    w: np.ndarray, ab: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float, int]:
-    # _descend from w.  A stalled descent continues through the smoothed
-    # overlaps (a short descent per _SMOOTHING eps, then one of the overlap
-    # itself), keeping the lower end.  While the lowest overlap so far is
-    # stalled, that W is kicked by a Haar unitary of rng and the descent and
-    # continuation start over from it, up to _KICKS times.  Returns the
-    # lowest overlap's W, the overlap and the evaluations of all descents.
-    best_val, evaluations = math.inf, 0
-    for kick in range(_KICKS + 1):
-        if kick:
-            w = _haar(rng, w.shape[0], complex_=True) @ best
-        w, val, stalled, count = _descend(w, ab)
-        evaluations += count
-        if stalled:
-            smooth = w
-            for eps in (*_SMOOTHING, 0.0):
-                steps = _SMOOTHING_STEPS if eps else _MAX_STEPS
-                smooth, smooth_val, smooth_stalled, count = _descend(smooth, ab, eps, steps)
-                evaluations += count
-            if smooth_val < val:
-                w, val, stalled = smooth, smooth_val, smooth_stalled
-        if val < best_val:
-            best, best_val, best_stalled = w, val, stalled
-        if not best_stalled:
+def _line_search(step, start, eps, product, evaluations, live):
+    # The line search of a step whose first product (steps, trials,
+    # overlaps, taken, measurable) the elements do not all take the same
+    # trial of; step = (V, lambda, V^H [x y], slope, cut) and start = (mu,
+    # overlap, outputs) of each element.  An element takes its first taken
+    # trial; one with none halts if its last trial was not measurable (nor is
+    # any smaller step), and otherwise scores another product, from half its
+    # last trial step.  Returns each element's new mu, overlap and outputs,
+    # and which elements halted (they keep their start).
+    v, lam, vxy, slope, cut = step
+    mu, val, xy = (a.copy() for a in start)
+    steps, trials, t, taken, measurable = product
+    halted = np.zeros(len(mu), dtype=bool)
+    todo = np.arange(len(mu))
+    while True:
+        took = taken.any(axis=1)
+        rows = np.flatnonzero(took)
+        k, idx = taken[rows].argmax(axis=1), todo[rows]
+        mu[idx], val[idx], xy[idx] = steps[rows, k], t[rows, k], trials[rows, k]
+        halted[todo[~took & ~measurable[:, -1]]] = True
+        more = ~took & measurable[:, -1]
+        if not more.any():
+            return mu, val, xy, halted
+        todo, steps = todo[more], 0.25 * steps[more, -1:] * _HALVINGS
+        trials, t = _trials(v[todo], lam[todo], vxy[todo], steps, eps)
+        evaluations[live[todo]] += _TRIALS
+        taken, measurable = _armijo(val[todo], slope[todo], cut[todo], steps, t)
+
+
+def _continued(xy: np.ndarray):
+    # _descend from each row pair of the stack.  A stalled descent continues
+    # through the smoothed overlaps (a short descent per _SMOOTHING eps, then
+    # one of the overlap itself), and keeps the lower end.
+    xy, val, stalled, evaluations = _descend(xy)
+    sub = np.flatnonzero(stalled)
+    if sub.size:
+        smooth = xy[sub]
+        for eps in (*_SMOOTHING, 0.0):
+            steps = _SMOOTHING_STEPS if eps else _MAX_STEPS
+            smooth, smooth_val, smooth_stalled, count = _descend(smooth, eps, steps)
+            evaluations[sub] += count
+        better = smooth_val < val[sub]
+        up = sub[better]
+        xy[up], val[up], stalled[up] = smooth[better], smooth_val[better], smooth_stalled[better]
+    return xy, val, stalled, evaluations
+
+
+def _restart(xy: np.ndarray, kicks) -> tuple[np.ndarray, np.ndarray]:
+    # One restart per row pair (W a, W b) of the stack xy: _continued from
+    # it.  While an element's lowest overlap so far is stalled, its outputs
+    # are kicked by the element's next Haar unitary K (kicks(elements) gives
+    # a stack of them; K W is a fresh Haar start) and the descent and
+    # continuation start over from them, up to _KICKS times.  Returns the
+    # lowest overlap's outputs and the evaluations of all descents.
+    best, best_val, best_stalled, evaluations = _continued(xy)
+    todo = np.flatnonzero(best_stalled)
+    for _ in range(_KICKS):
+        if not todo.size:
             break
-    return best, best_val, evaluations
+        xy, val, stalled, count = _continued(best[todo] @ kicks(todo).swapaxes(1, 2))
+        evaluations[todo] += count
+        better = val < best_val[todo]
+        up = todo[better]
+        best[up], best_val[up], best_stalled[up] = xy[better], val[better], stalled[better]
+        todo = todo[best_stalled[todo]]
+    return best, evaluations
+
+
+def _measurements(ab: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    # A unitary W with W [a b] = [x y] for each element: xy holds the outputs
+    # of a descent from ab, which keep its Gram matrix up to rounding, so
+    # complete QRs [a b] = Q R and [x y] = Q' R, with R's diagonal real and
+    # nonnegative, give W = Q' Q^H.
+    frames = []
+    for rows in (xy, ab):
+        q, r = np.linalg.qr(rows.swapaxes(1, 2), mode="complete")
+        d = np.diagonal(r, axis1=1, axis2=2).copy()
+        d[d == 0.0] = 1.0
+        q[:, :, :2] *= (d / np.abs(d))[:, None, :]
+        frames.append(q)
+    return frames[0] @ frames[1].conj().swapaxes(1, 2)
+
+
+class _Pair:
+    # a pair of _maximize_pairs, with the rows a, b of its states, whose
+    # restarts have not all finished
+    def __init__(self, ab: np.ndarray, budget: int) -> None:
+        self.ab, self.left = ab, budget
+        self.max_ds, self.w, self.evaluations = -math.inf, None, 0
+
+    def result(self) -> DistinguishabilityResult:
+        dh = _hilbert_angle(*self.ab)
+        return DistinguishabilityResult(
+            max_ds=self.max_ds,
+            argmax_measurement=Measurement(self.w),
+            hilbert_distance=dh,
+            gap=abs(self.max_ds - dh),
+            evaluations=self.evaluations,
+        )
+
+
+def _maximize_pairs(pairs, budget: int):
+    """Yield maximize_statistical_distance(u, v, budget, seed) for each
+    (u, v, seed) of pairs, all of one dimension n, in order.
+
+    The restarts of all pairs run as one stack, read lazily from pairs in
+    passes of transforms._per_pass restarts, and each pair's result is
+    yielded once its last restart has finished, so memory stays flat in the
+    number of pairs and in budget.  A restart's largest arrays are its
+    n x n ones (its start, the eigenvectors of a step, its measurement) and
+    its line-search trials.  Restart k of a pair starts from a uniform
+    random chart point drawn from substream k of its seed, and its kicks
+    come from the same substream, whose PCG64 state it holds between draws.
+    """
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if first is None:
+        return
+    n = first[0].n
+    pending: deque[_Pair] = deque()
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def restarts():
+        for u, v, seed in itertools.chain([first], pairs):
+            pair = _Pair(np.stack((u.v, v.v)), budget)
+            pending.append(pair)
+            for stream in substreams(seed, range(budget)):
+                start = stream.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
+                yield pair, unitary_from_params(start, n), stream.bit_generator.state
+
+    def kicks(elements):
+        # each element's next Haar kick, from its substream's state, saved in
+        # the current chunk's states
+        z = np.empty((len(elements), n, n), dtype=complex)
+        for row, k in enumerate(elements):
+            rng.bit_generator.state = states[k]
+            z[row] = _gaussian(rng, (n, n), complex_=True)
+            states[k] = rng.bit_generator.state
+        return _haar_from_gaussian(z)
+
+    elements = restarts()
+    per_pass = _per_pass(16 * n * max(n, 2 * _TRIALS))
+    while chunk := list(itertools.islice(elements, per_pass)):
+        owners, starts, states = zip(*chunk)
+        states = list(states)
+        ab = np.stack([pair.ab for pair in owners])
+        found, evaluations = _restart(ab @ np.stack(starts).swapaxes(1, 2), kicks)
+        for pair, w, count in zip(owners, _measurements(ab, found), evaluations):
+            # rank by the distance w achieves, which max_ds reports; ties go
+            # to the lowest restart
+            ds = _distance_after(w, *pair.ab)
+            if ds > pair.max_ds:
+                pair.max_ds, pair.w = ds, w.copy()
+            pair.evaluations += int(count)
+            pair.left -= 1
+        while pending and not pending[0].left:
+            yield pending.popleft().result()
 
 
 def maximize_statistical_distance(
@@ -321,52 +473,20 @@ def maximize_statistical_distance(
     budget counts independent random restarts; restart k starts from a
     uniform random chart point drawn from substream k of seed, so at a fixed
     seed the result is deterministic and never degrades as budget grows.
-    At n = 2 a restart is the one-rotation coordinate search.  From n = 3 it
-    is Riemannian steepest descent on U(n); a stalled descent continues
-    through smoothed overlaps and, if still stalled, is kicked by a Haar
-    unitary from the same substream (see the module docstring).  max_ds is
-    the distance achieved by argmax_measurement.  evaluations counts every
-    objective evaluation of all restarts: at n = 2 each restart's start and
-    every coordinate candidate; from n = 3 the start of every descent
-    (kicked ones included) and every line-search trial, the smoothed
-    continuation's included.
+    A restart is Riemannian steepest descent on U(n); a stalled descent
+    continues through smoothed overlaps and, if still stalled, is kicked by
+    a Haar unitary from the same substream (see the module docstring).
+    max_ds is the distance achieved by argmax_measurement.  evaluations
+    counts the overlaps scored by all restarts: the start of every descent
+    (kicked and smoothed ones included) and every line-search trial.
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
     budget = _integer(budget, "budget")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
-    n = u.n
-    a, b = u.v, v.v
-    ab = np.stack((a, b), axis=1)
-
-    best_val = math.inf
-    best = None
-    evaluations = 0
-    for rng in substreams(seed, range(budget)):
-        start = rng.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
-        if n == 2:
-            rot = start[n:].tolist()
-            val, count = _refine(ab, rot, step=0.5)
-            found = np.concatenate((start[:n], rot))
-        else:
-            found, _, count = _restart(unitary_from_params(start, n), ab, rng)
-            # rank by the distance found achieves, which max_ds reports
-            val = -_distance_after(found, a, b)
-        evaluations += count
-        if val < best_val:
-            best_val, best = val, found
-
-    w = unitary_from_params(best, n) if n == 2 else best
-    max_ds = _distance_after(w, a, b)
-    dh = hilbert_distance(u, v)
-    return DistinguishabilityResult(
-        max_ds=max_ds,
-        argmax_measurement=Measurement(w),
-        hilbert_distance=dh,
-        gap=abs(max_ds - dh),
-        evaluations=evaluations,
-    )
+    (result,) = _maximize_pairs([(u, v, seed)], budget)
+    return result
 
 
 def certify_upper_bound(

@@ -208,17 +208,19 @@ def test_criterion_8_measure_invariance():
 
 def test_criterion_9_distance_envelope_and_maximum(monkeypatch):
     pair_seconds = []
-    maximize = distmax.maximize_statistical_distance
+    maximize_pairs = distmax._maximize_pairs
 
     def timed(*args, **kwargs):
+        # each pair's time runs from the start of the battery's stacked search
+        # to the yield of the pair's result, at least the pair's own time
         started = time.perf_counter()
-        result = maximize(*args, **kwargs)
-        pair_seconds.append(time.perf_counter() - started)
-        return result
+        for result in maximize_pairs(*args, **kwargs):
+            pair_seconds.append(time.perf_counter() - started)
+            yield result
 
     def body():
         # uncached, so every optimized pair of these two runs is timed
-        monkeypatch.setattr(distmax, "maximize_statistical_distance", timed)
+        monkeypatch.setattr(distmax, "_maximize_pairs", timed)
         rows = {n: _battery.__wrapped__("wootters", n)[0] for n in (2, 3)}
         gaps = {n: c["max_gap"] for n, c in rows.items()}
         envelope = max(c["envelope_max_violation"] for c in rows.values())

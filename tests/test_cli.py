@@ -958,14 +958,30 @@ def test_every_pass_stays_within_the_pass_budget(n, monkeypatch):
         passes.append(("haar", len(z), z.nbytes))
         return haar(z)
 
+    def line_search_trials(*args):
+        # a line-search product's (restarts, trials, 2, n) outputs
+        trials, overlaps = line_search(*args)
+        passes.append(("descent", len(trials), trials.nbytes))
+        return trials, overlaps
+
+    def measurements(ab, xy):
+        # the (restarts, n, n) measurements built from the outputs
+        w = measure(ab, xy)
+        passes.append(("descent", len(w), w.nbytes))
+        return w
+
+    line_search, measure = distmax._trials, distmax._measurements
     monkeypatch.setattr(transforms, "_probe_stack", probe_stack)
     monkeypatch.setattr(transforms, "_commutation", commutation_test)
     monkeypatch.setattr(transforms, "_haar_from_gaussian", haar_from_gaussian)
     monkeypatch.setattr(distmax, "_haar_from_gaussian", haar_from_gaussian)
+    monkeypatch.setattr(distmax, "_trials", line_search_trials)
+    monkeypatch.setattr(distmax, "_measurements", measurements)
     assert run_correspondence(RunConfig("correspondence", n=n, seed=1, draws=3)).overall_passed
-    cfg = RunConfig("wootters", n=n, seed=1, pairs=1, budget=1, draws=300)
+    cfg = RunConfig("wootters", n=n, seed=1, pairs=1, budget=3, draws=300)
     assert run_wootters(cfg).overall_passed
-    assert {kind for kind, _, _ in passes} == {"probe", "commutation", "haar"}
+    assert {kind for kind, _, _ in passes} == {"probe", "commutation", "haar", "descent"}
+    assert max(items for kind, items, _ in passes if kind == "descent") > 1
     for kind, items, largest in passes:
         assert items == 1 or largest <= transforms._PASS_BYTES, (kind, items, largest)
 
