@@ -57,8 +57,8 @@ SIZE_CAPS = {
     # transforms._PASS_BYTES of measurements (0.95 MB traced at n = 8 for 2000
     # and 5000 draws, 0.81 MB at n = 64 for 8, 64 and 1000), so memory stays
     # flat; the cap bounds the time, ~5 min at ~0.32 ms per correspondence
-    # draw (~2.3 ms at n = 64) and ~1.5 min at ~0.08 ms per envelope draw at
-    # n = 8 (~20 min at ~1.2 ms, n = 64)
+    # draw (~2.3 ms at n = 64) and ~1.2 min at ~0.06-0.07 ms per envelope
+    # draw at n = 8 (~20 min at ~1.2 ms, n = 64)
     "draws": 1_000_000,
 }
 
@@ -645,9 +645,9 @@ def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
     Draw k takes u and v as random_complex_state does, then the seed of its
     Haar measurement W, from rng.  d_S is statistical_distance of the outcome
     distributions |W u|^2 and |W v|^2 and d_H is hilbert_distance(u, v); the
-    QR, the matrix-vector products and the elementwise terms run over the
-    whole stack and only the final norms run per draw, the same arithmetic as
-    building a Measurement and two ProbDist objects per draw.
+    QR, the matrix-vector products and both distances run over the whole
+    stack, the same arithmetic as building a Measurement and two ProbDist
+    objects per draw.
     """
     per_pass = transforms._per_pass(16 * n * n)
     for start in range(0, draws, per_pass):
@@ -664,8 +664,7 @@ def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
         sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
         simplex._check_rows(sq, "probs")
         ds = simplex._distance_rows(*sq[1])
-        dh = np.array([distmax._hilbert_angle(ab[0, k], ab[1, k]) for k in range(size)])
-        yield ds, dh
+        yield ds, distmax._hilbert_angle(ab[0], ab[1])
 
 
 def run_wootters(cfg: RunConfig) -> Report:

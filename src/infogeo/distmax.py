@@ -7,9 +7,11 @@ distributions have statistical distance d_S(W), defined by
 
 and the supremum over measurements equals the Hilbert-space angle d_H,
 cos d_H = |u^dagger v|.  Each angle is computed as 2 atan2(|x - y|, |x + y|)
-by simplex._angle_between (x = |W u|, y = |W v| for d_S, with x - y formed
-from W (v - u), see _distance_after), which keeps full precision as the
-angle tends to 0.
+(x = |W u|, y = |W v| for d_S, with x - y formed from W (v - u), see
+_distance_after), which keeps full precision as the angle tends to 0.  Both
+distances act on stacks: one call of the row-norm kernel simplex._norms and
+the angle kernel simplex._angle_between per stack of pairs, restarts or
+measurements.
 
 The maximizer minimizes the overlap sum_i |x_i| |y_i| of x = W u, y = W v,
 which falls as d_S grows; only the reported maximum becomes an angle.  Each
@@ -37,7 +39,7 @@ does not depend on the stack it runs in.  maximize_statistical_distance is a
 stack of one pair.
 
 A Haar-sampling certifier provides an independent stochastic lower envelope
-of the same supremum.
+of the same supremum: the largest _distance_after over its Haar draws.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
-from .simplex import _angle_between, _integer, _vector
+from .simplex import _angle_between, _integer, _row_dots, _vector
 from .statespace import ComplexState
 from .transforms import _gaussian, _haar_from_gaussian, _per_pass
 
@@ -71,7 +73,7 @@ _SMOOTHING_STEPS = 60
 _EPS = 2.0**-52
 _TINY = np.finfo(float).tiny
 # certify_upper_bound draws its Gaussians 4096 Haar matrices at a time, which
-# fixes its values; their QR, products and ranking run in _per_pass batches
+# fixes its values; their QR and distances run in _per_pass batches
 _CERTIFY_CHUNK = 4096
 
 
@@ -85,19 +87,22 @@ def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
-    return _hilbert_angle(u.v, v.v)
+    return float(_hilbert_angle(u.v, v.v))
 
 
-def _hilbert_angle(a: np.ndarray, b: np.ndarray) -> float:
-    # hilbert_distance of the amplitude rows a, b
+def _hilbert_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # hilbert_distance of each row pair of the (..., n) amplitude stacks a, b
     w = _aligned(a, b)
     return _angle_between(a - w, a + w)
 
 
 def _aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # b times the phase that makes a^dagger b = |a^dagger b|
-    overlap = complex(np.vdot(a, b))
-    return b if overlap == 0.0 else b * (abs(overlap) / overlap)
+    # each row of b times the phase that makes a^dagger b = |a^dagger b| (1 for
+    # a zero overlap); _row_dots of conj(a) gives np.vdot's overlaps, and the
+    # phase is a Python complex division per row, as NumPy's divides differently
+    overlaps = _row_dots(a.conj(), b)
+    phases = [abs(o) / o if o else 1.0 for o in overlaps.ravel().tolist()]
+    return b * np.reshape(phases, (*overlaps.shape, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +156,15 @@ def unitary_from_params(params: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def _distance_after(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    # d_S of the measurement W: the angle between |W a| and |W b|.  A global
+def _distance_after(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # d_S of each measurement W of the (..., n, n) stack w for the state rows
+    # a, b broadcast against it: the angle between |W a| and |W b|.  A global
     # phase leaves |W b| alone, so with b' = _aligned(a, b), x = W a and
     # d = W (b' - a), |W b| - |W a| = Re((2 x + d) conj(d)) / (|x + d| + |x|):
     # it is O(d) with the relative precision of b' - a as the states close,
     # so d_S stays below d_H up to relative rounding
-    x = w @ a
-    d = w @ (_aligned(a, b) - a)
+    x = (w @ a[..., None])[..., 0]
+    d = (w @ (_aligned(a, b) - a)[..., None])[..., 0]
     total = np.abs(x + d) + np.abs(x)
     diff = np.zeros_like(total)
     np.divide(np.real((2.0 * x + d) * d.conj()), total, out=diff, where=total > 0.0)
@@ -394,7 +400,7 @@ class _Pair:
         self.max_ds, self.w, self.evaluations = -math.inf, None, 0
 
     def result(self) -> DistinguishabilityResult:
-        dh = _hilbert_angle(*self.ab)
+        dh = float(_hilbert_angle(*self.ab))
         return DistinguishabilityResult(
             max_ds=self.max_ds,
             argmax_measurement=Measurement(self.w),
@@ -450,10 +456,11 @@ def _maximize_pairs(pairs, budget: int):
         states = list(states)
         ab = np.stack([pair.ab for pair in owners])
         found, evaluations = _restart(ab @ np.stack(starts).swapaxes(1, 2), kicks)
-        for pair, w, count in zip(owners, _measurements(ab, found), evaluations):
-            # rank by the distance w achieves, which max_ds reports; ties go
-            # to the lowest restart
-            ds = _distance_after(w, *pair.ab)
+        ws = _measurements(ab, found)
+        # rank by the distance w achieves, which max_ds reports; ties go to
+        # the lowest restart
+        distances = _distance_after(ws, ab[:, 0], ab[:, 1]).tolist()
+        for pair, w, ds, count in zip(owners, ws, distances, evaluations):
             if ds > pair.max_ds:
                 pair.max_ds, pair.w = ds, w.copy()
             pair.evaluations += int(count)
@@ -508,23 +515,12 @@ def certify_upper_bound(
     rng = np.random.default_rng(seed)
     batch = _per_pass(16 * u.n * u.n)
     best = 0.0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _CERTIFY_CHUNK)
-        remaining -= chunk
-        # the draws of _haar(rng, n, (chunk,), complex_=True), all real parts
-        # first; each sub-batch draws its imaginary parts as it runs, the same
-        # stream: the same matrices, and the chunk's first best-ranked draw
-        re = rng.standard_normal((chunk, u.n, u.n))
-        top = -1.0
-        for lo in range(0, chunk, batch):
-            part = re[lo:lo + batch]
+    for lo in range(0, samples, _CERTIFY_CHUNK):
+        # a chunk's draws are those of _haar(rng, n, (chunk,), complex_=True),
+        # all real parts first; each sub-batch draws its imaginary parts as it
+        # runs, the same stream: the same matrices
+        re = rng.standard_normal((min(samples - lo, _CERTIFY_CHUNK), u.n, u.n))
+        for part in np.split(re, range(batch, len(re), batch)):
             q = _haar_from_gaussian(part + 1j * rng.standard_normal(part.shape))
-            x, y = np.abs(q @ u.v), np.abs(q @ v.v)
-            # rank by tan(d/2) = |x - y| / |x + y|: close states' overlaps all round to 1
-            ratio = np.linalg.norm(x - y, axis=1) / np.linalg.norm(x + y, axis=1)
-            k = int(np.argmax(ratio))
-            if ratio[k] > top:
-                top, x_top, y_top = ratio[k], x[k], y[k]
-        best = max(best, _angle_between(x_top - y_top, x_top + y_top))
+            best = max(best, float(_distance_after(q, u.v, v.v).max()))
     return best

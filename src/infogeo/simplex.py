@@ -183,15 +183,29 @@ def fisher_quadratic(p: ProbDist, dp: TangentVec) -> float:
     return float(_fisher_rows(p.probs, dp.deltas))
 
 
-def _angle_between(diff: np.ndarray, total: np.ndarray) -> float:
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of a (..., n) stack, through the
+    dots np.linalg.norm takes of one row: for complex entries those of the
+    real and the imaginary parts, as strided views of contiguous rows
+    (contiguous copies of the parts round differently)."""
+    rows = np.ascontiguousarray(rows)
+    if rows.dtype.kind == "c":
+        return np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+    return np.sqrt(_row_dots(rows, rows))
+
+
+def _angle_between(diff: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Angle 2 atan2(|x - y|, |x + y|) between unit vectors x, y with
-    x . y >= 0, given diff = x - y and total = x + y.
+    x . y >= 0, for each row of the (..., n) stacks diff = x - y and
+    total = x + y.
 
     Unlike arccos(x . y) this keeps the precision of diff at small angles.
-    Such an angle is at most pi/2; the cap absorbs rounding.
+    Such an angle is at most pi/2; the cap absorbs rounding.  math.atan2 runs
+    per row: np.arctan2 can differ from it in the last bit.
     """
-    angle = 2.0 * math.atan2(float(np.linalg.norm(diff)), float(np.linalg.norm(total)))
-    return min(angle, 0.5 * math.pi)
+    num, den = _norms(diff), _norms(total)
+    angles = [2.0 * math.atan2(x, y) for x, y in zip(num.ravel().tolist(), den.ravel().tolist())]
+    return np.minimum(angles, 0.5 * math.pi).reshape(num.shape)
 
 
 def statistical_distance(p: ProbDist, p2: ProbDist) -> float:
@@ -203,17 +217,17 @@ def statistical_distance(p: ProbDist, p2: ProbDist) -> float:
     relative precision as it tends to 0.  Equals 0 iff the distributions
     coincide and pi/2 iff their supports are disjoint.
     """
-    return float(_distance_rows(p.probs[None], p2.probs[None])[0])
+    return float(_distance_rows(p.probs, p2.probs))
 
 
 def _distance_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
-    """statistical_distance of each row pair of (m, n) arrays of rows checked by
-    _check_rows; the norms run per row, as a stacked norm rounds differently."""
+    """statistical_distance of each row pair of (..., n) arrays of rows checked
+    by _check_rows."""
     _check_same_dim(probs.shape[-1], probs2.shape[-1])
     total = np.sqrt(probs) + np.sqrt(probs2)
     diff = np.zeros_like(total)
     np.divide(probs - probs2, total, out=diff, where=total > 0.0)
-    return np.array([_angle_between(d, t) for d, t in zip(diff, total)])
+    return _angle_between(diff, total)
 
 
 def _kl_rows(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ commutation:
 Generic orthogonal matrices at 2N >= 4 do neither and fail gauge invariance
 of the coarse-grained outcome probabilities.  classify, the probe and the
 converters run private stack kernels on a stack of one; the batteries run
-them, and _frobenius, the one Frobenius norm, on whole stacks.
+them, and _frobenius (simplex._norms, the one row norm, of the flattened
+matrices), on whole stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, NotUnitary, ValidationError, WrongType
-from .simplex import _integer, _row_dots, _vector
+from .simplex import _integer, _norms, _vector
 from .statespace import DEFAULT_GAUGE, GaugeConvention
 
 STRUCTURAL_TOL = 1e-10
@@ -49,20 +50,18 @@ def _as_square_matrix(m, dtype) -> np.ndarray:
 
 
 def _frobenius(ms: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a C-contiguous (..., r, c) stack, the
-    dots np.linalg.norm takes: for complex entries those of the real and the
-    imaginary parts, as strided views (contiguous copies of the parts round
-    differently)."""
-    rows = ms.reshape(*ms.shape[:-2], -1)
-    if np.iscomplexobj(rows):
-        return np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
-    return np.sqrt(_row_dots(rows, rows))
+    # Frobenius norm of each matrix of a C-contiguous (..., r, c) stack, as
+    # np.linalg.norm rounds it
+    return _norms(ms.reshape(*ms.shape[:-2], -1))
 
 
 def _require_isometries(m: np.ndarray, error: type, what: str) -> np.ndarray:
     """Raise error unless m^dagger @ m = I (m.T @ m for real m) within
     Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, n) stack;
-    return each matrix's Frobenius norm of m^dagger @ m - I."""
+    return each matrix's Frobenius norm of m^dagger @ m - I.  Non-finite
+    entries raise before the product, which would flag inf * 0."""
+    if not np.isfinite(m).all():
+        raise error(f"{what} deviates from I by nan (tol {STRUCTURAL_TOL:g}): non-finite entry")
     defects = _frobenius(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
     defect = np.max(defects, initial=0.0)
     if not defect <= STRUCTURAL_TOL:  # a NaN defect fails too

@@ -19,7 +19,6 @@ from infogeo import (
 )
 from infogeo import distmax, transforms
 from infogeo.distmax import _distance_after, _maximize_pairs, n_parameters
-from infogeo.simplex import _angle_between
 from infogeo.transforms import _haar
 from conftest import decimal_ray_angle
 
@@ -126,6 +125,42 @@ def test_distance_after_is_accurate_at_small_distances(n, angle):
     exact = decimal_ray_angle(np.abs(w @ a), np.abs(w @ b))
     assert exact == pytest.approx(angle, rel=1e-3)
     assert abs(_distance_after(w, a, b) - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_stacked_distances_equal_one_row_calls(n):
+    # _hilbert_angle and _distance_after take stacks of pairs, and each row
+    # is bit for bit hilbert_distance or a one-row call.  Row 2 is a pair of
+    # identical states and row 3 an orthogonal pair, whose zero overlap takes
+    # the phase 1
+    rng = np.random.default_rng(90 + n)
+    us = [random_complex_state(n, rng) for _ in range(6)]
+    vs = [random_complex_state(n, rng) for _ in range(6)]
+    vs[2] = us[2]
+    pad = [0.0] * (n - 2)
+    us[3], vs[3] = ComplexState([0.6, 0.8j, *pad]), ComplexState([0.8, -0.6j, *pad])
+    a, b = np.stack([u.v for u in us]), np.stack([v.v for v in vs])
+    assert np.vdot(a[3], b[3]) == 0.0
+    dh = distmax._hilbert_angle(a, b)
+    assert dh.tolist() == [hilbert_distance(u, v) for u, v in zip(us, vs)]
+    # the one-row formula: np.vdot's overlap and a Python complex phase
+    for x, y, d in zip(a, b, dh):
+        o = complex(np.vdot(x, y))
+        w = y * (abs(o) / o) if o else y
+        angle = 2.0 * math.atan2(np.linalg.norm(x - w), np.linalg.norm(x + w))
+        assert d == min(angle, 0.5 * math.pi)
+    assert dh[2] == 0.0 and dh[3] == math.pi / 2.0
+    ws = np.stack([random_unitary(n, seed) for seed in range(6)])
+    ds = _distance_after(ws, a, b)
+    assert ds.tolist() == [float(_distance_after(w, x, y)) for w, x, y in zip(ws, a, b)]
+    assert ds[2] == 0.0 and 0.0 < ds[3] <= math.pi / 2.0
+    # one pair under a stack of measurements, as the certifier scores them
+    ds0 = _distance_after(ws, a[0], b[0])
+    assert ds0.tolist() == [float(_distance_after(w, a[0], b[0])) for w in ws]
+    # one unstacked row and an empty stack
+    assert distmax._hilbert_angle(a[1], b[1]).shape == ()
+    assert distmax._hilbert_angle(a[:0], b[:0]).shape == (0,)
+    assert _distance_after(ws[:0], a[:0], b[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +448,14 @@ def test_certify_single_sample_is_the_haar_unitary_of_its_seed(n):
     u, v = random_complex_state(n, rng), random_complex_state(n, rng)
     for seed in range(50):
         cert = certify_upper_bound(u, v, samples=1, seed=seed)
-        assert abs(cert - _distance_after(random_unitary(n, seed), u.v, v.v)) <= 1e-15
+        assert cert == _distance_after(random_unitary(n, seed), u.v, v.v)
 
 
 @pytest.mark.parametrize("samples", [1, 2000, 5000])
 def test_certify_equals_the_one_batch_formula(samples, monkeypatch):
-    # the sub-batched QR and ranking give exactly what one QR pass over each
-    # 4096-draw chunk gives, at the pass budget and in passes of 7 draws
+    # the sub-batched QR and distances give exactly what one QR pass and one
+    # _distance_after over each 4096-draw chunk give, at the pass budget and
+    # in passes of 7 draws
     u, v = _seeded_pair(8, 46)
     rng = np.random.default_rng(9)
     best, remaining = 0.0, samples
@@ -427,9 +463,7 @@ def test_certify_equals_the_one_batch_formula(samples, monkeypatch):
         chunk = min(remaining, 4096)
         remaining -= chunk
         q = _haar(rng, 8, (chunk,), complex_=True)
-        x, y = np.abs(q @ u.v), np.abs(q @ v.v)
-        k = int(np.argmax(np.linalg.norm(x - y, axis=1) / np.linalg.norm(x + y, axis=1)))
-        best = max(best, _angle_between(x[k] - y[k], x[k] + y[k]))
+        best = max(best, float(_distance_after(q, u.v, v.v).max()))
     for pass_bytes in (transforms._PASS_BYTES, 7 * 16 * 8 * 8):
         monkeypatch.setattr(transforms, "_PASS_BYTES", pass_bytes)
         assert certify_upper_bound(u, v, samples=samples, seed=9) == best

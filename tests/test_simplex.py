@@ -31,7 +31,7 @@ from infogeo import (
     statistical_distance,
     unitary_from_params,
 )
-from infogeo.simplex import _check_rows, _fisher_rows, _kl_rows
+from infogeo.simplex import _angle_between, _check_rows, _distance_rows, _fisher_rows, _kl_rows
 from conftest import decimal_ray_angle
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,38 @@ def test_row_kernels_equal_public_calls_row_by_row(n):
             p = ProbDist(probs[t])
             assert kl[k, t] == kl_divergence(p, ProbDist(probs2[k, t]))
             assert fisher[k, t] == fisher_quadratic(p, TangentVec(deltas[k, t]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_angle_kernels_equal_one_row_calls(n):
+    # _distance_rows and _angle_between take (..., n) stacks, and each row is
+    # bit for bit statistical_distance or the one-row formula.  Row (1, 2) is
+    # a pair of identical distributions and row (2, 4) one of disjoint supports
+    rng = np.random.default_rng(80 + n)
+    probs, probs2 = _rows_with_zeros(rng, (3, 7, n)), _rows_with_zeros(rng, (3, 7, n))
+    probs2[1, 2] = probs[1, 2]
+    probs[2, 4], probs2[2, 4] = np.eye(n)[:2]
+    ds = _distance_rows(probs, probs2)
+    assert ds.tolist() == [
+        [statistical_distance(ProbDist(p), ProbDist(p2)) for p, p2 in zip(*rows)]
+        for rows in zip(probs, probs2)
+    ]
+    assert ds[1, 2] == 0.0 and ds[2, 4] == math.pi / 2.0
+    # one unstacked row and an empty stack
+    assert _distance_rows(probs[0, 3], probs2[0, 3]) == ds[0, 3]
+    assert _distance_rows(probs[:, :0], probs2[:, :0]).shape == (3, 0)
+    real = rng.standard_normal((2, 2, 5, n))
+    for diff, total in (real, real + 1j * rng.standard_normal(real.shape)):
+        angles = _angle_between(diff, total)
+        assert angles.tolist() == [
+            [
+                min(2.0 * math.atan2(np.linalg.norm(d), np.linalg.norm(t)), 0.5 * math.pi)
+                for d, t in zip(*rows)
+            ]
+            for rows in zip(diff, total)
+        ]
+        assert _angle_between(diff[0, 0], total[0, 0]) == angles[0, 0]
+        assert _angle_between(diff[:0], total[:0]).shape == (0, 5)
 
 
 def test_row_kernels_keep_the_public_checks():

@@ -36,6 +36,7 @@ from infogeo import (
     transforms,
 )
 from infogeo._streams import streams
+from infogeo.simplex import _norms
 from infogeo.transforms import STRUCTURAL_TOL, _require_isometries
 
 seeds = st.integers(0, 2**32 - 1)
@@ -202,8 +203,8 @@ def test_isometry_check_rejects_non_finite_entries(bad):
         (NotUnitary, np.stack([random_unitary(3, seed) for seed in range(3)])),
     ):
         stack[1, 0, 2] = bad
-        # an inf entry puts inf * 0 into m^dagger @ m, which NumPy may flag
-        with np.errstate(invalid="ignore"), pytest.raises(error, match="deviates from I by"):
+        # an inf entry raises before m^dagger @ m, where inf * 0 would warn
+        with pytest.raises(error, match="deviates from I by"):
             _require_isometries(stack, error, "stack")
 
 
@@ -436,12 +437,19 @@ def test_random_orthogonal_sign_balance():
     assert dets == {-1, 1}
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64])
 def test_frobenius_rounds_as_numpy_norm(n):
-    # the dots np.linalg.norm takes: for complex entries those of the real and
-    # imaginary parts as strided views (contiguous copies of the parts move
-    # about one Gram deviation norm in ten by an ulp)
-    q = transforms._haar(np.random.default_rng(n), n, (500,), complex_=True)
+    # simplex._norms, the one row norm, takes the dots np.linalg.norm takes of
+    # each row: for complex entries those of the real and imaginary parts as
+    # strided views (contiguous copies of the parts move about one Gram
+    # deviation norm in ten by an ulp); _frobenius is _norms of the flattened
+    # matrices
+    q = transforms._haar(np.random.default_rng(n), n, (500 if n <= 16 else 20,), complex_=True)
     gram = np.swapaxes(q.conj(), -1, -2) @ q - np.eye(n)
     for ms in (gram, q, q.real.copy(), q[..., :1].copy()):
         assert transforms._frobenius(ms).tolist() == [np.linalg.norm(m) for m in ms]
+    # real and complex row stacks, a strided one, one unstacked row, an empty stack
+    for rows in (q, gram.real, q.real, q[:, ::2], q[0, 0], q[:0]):
+        norms = _norms(rows)
+        assert norms.shape == rows.shape[:-1]
+        assert norms.ravel().tolist() == [np.linalg.norm(r) for r in rows.reshape(-1, n)]
