@@ -18,6 +18,9 @@ fixed integer arithmetic, so they run here for a block of values at once:
 - PCG64's set-seed, two steps of its 128-bit LCG (O'Neill 2014), per value
   with Python ints.
 
+A seed then costs ~2.3 us (30,000 substreams, same host), ~1.35 us of it
+NumPy's state setter, to which one reused state dict is handed per seed.
+
 Every array and scalar is explicitly uint32, so the wraparound arithmetic is
 the same under NumPy 1.x value-based casting and NumPy 2 (NEP 50), and array
 ufuncs wrap without a RuntimeWarning.
@@ -95,18 +98,16 @@ def _reset(rng: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Ge
     """Reset rng to each column of (4, seeds) generate_state words in turn,
     by PCG64's set-seed (state and increment from two 128-bit words)."""
     bit_gen = rng.bit_generator
+    # one state dict for every seed: the setter copies the values out of it
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     # Python ints for 64 seeds at a time, not for the block: they take ~0.2 kB
     # per seed
     for start in range(0, words.shape[1], 64):
         for s_hi, s_lo, i_hi, i_lo in words[:, start : start + 64].T.tolist():
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            pcg["inc"] = inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_gen.state = full
             yield rng
 
 

@@ -183,7 +183,9 @@ def monte_carlo_gain(
     """Simulate `trials` datasets of n tosses from coin 1 and summarize the
     posterior.  Trial t draws from substream t of seed, the stream of
     SeedSequence(seed).spawn(trials)[t], so results are reproducible bit for
-    bit at a fixed seed and stable under batching.
+    bit at a fixed seed and stable under batching.  u is called once per
+    distinct log posterior ratio among the trials, plus four times for the
+    summary.
     """
     trials = _integer(trials, "trials")
     if trials <= 0:
@@ -191,13 +193,24 @@ def monte_carlo_gain(
     if exp.n > np.iinfo(np.int64).max:
         raise ValidationError(f"{exp.n} tosses exceed the sampler's limit of 2**63 - 1")
     counts = np.empty((trials, exp.p.n), dtype=np.int64)
-    for t, rng in enumerate(substreams(seed, range(trials))):
-        counts[t] = rng.multinomial(exp.n, exp.p.probs)
+    gens = substreams(seed, range(trials))
+    if exp.p.n == 2:
+        # multinomial draws its first count as binomial(n, p_0), with the same
+        # sampler and cache, and gives the rest to the second outcome
+        p0 = float(exp.p.probs[0])
+        for t, rng in enumerate(gens):
+            counts[t, 0] = rng.binomial(exp.n, p0)
+        counts[:, 1] = exp.n - counts[:, 0]
+    else:
+        for t, rng in enumerate(gens):
+            counts[t] = rng.multinomial(exp.n, exp.p.probs)
     base = u(0.5, 0.5)
-    gains, posts = np.empty(trials), np.empty(trials)
-    for t, log_ratio in enumerate(_log_odds(exp, counts).tolist()):
-        posts[t] = post_a = _posterior_from_log_ratio(log_ratio)
-        gains[t] = base - u(post_a, 1.0 - post_a)
+    # trials that share a log ratio share their posterior and gain: score
+    # each distinct value once (+-0 are one value; both give 1/2)
+    log_ratios, index = np.unique(_log_odds(exp, counts), return_inverse=True)
+    post_values = [_posterior_from_log_ratio(z) for z in log_ratios.tolist()]
+    posts = np.array(post_values)[index]
+    gains = np.array([base - u(post_a, 1.0 - post_a) for post_a in post_values])[index]
     mean_gain = float(gains.mean())
     stderr_gain = float(gains.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     mean_post = float(posts.mean())

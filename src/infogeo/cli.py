@@ -260,10 +260,11 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     tangents dq: a sphere tangent dq at q moves the events P = q^2 by 2 q dq,
     and the information metric there must equal the Euclidean form."""
     q, dq = np.empty((2, tangents, 2 * n))
-    for t in range(tangents):
-        q[t] = statespace._direction(rng, 2 * n)
-        dq[t] = rng.uniform(-1.0, 1.0, size=2 * n)
-    # random_real_state's check, once for all points
+    for point, step in zip(q, dq):
+        statespace._draw_direction(rng, point)
+        step[:] = rng.uniform(-1.0, 1.0, size=2 * n)
+    # random_real_state's scaling and check, once for all points
+    q = statespace._unit_rows(q)
     statespace._check_unit_rows(q)
     dq = 1e-3 * (dq - simplex._row_dots(dq, q)[:, None] * q)
     events, moved = q**2, 2.0 * q * dq
@@ -298,6 +299,36 @@ def _distance_identities(rng: np.random.Generator, n: int) -> tuple[float, float
     )
 
 
+def _polar_consistency(rng: np.random.Generator, n: int) -> float:
+    """The largest |polar_metric_quadratic - |polar_pushforward|^2| over 200
+    rounds of a gauge (slope a of random sign, offset b), a polar state, a
+    direction dp and perturbations dtheta, dchi, drawn round by round in that
+    order and scored as one stack, with the checks of the objects a round
+    would build."""
+    gauges, rows = np.empty((200, 2)), np.empty((200, 5, n))
+    for gauge, (p_draw, theta, dp_draw, dtheta, dchi) in zip(gauges, rows):
+        gauge[:] = (rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]),
+                    rng.uniform(0.0, 2.0 * math.pi))
+        rng.random(out=p_draw)
+        theta[:] = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        rng.random(out=dp_draw)
+        dtheta[:] = rng.uniform(-1.0, 1.0, size=n)
+        dchi[:] = rng.uniform(-1.0, 1.0, size=n)
+    a = gauges[:, :1]
+    if not (np.isfinite(gauges).all() and (a != 0.0).all()):
+        raise ValidationError("gauge slope a must be finite and nonzero")
+    if not np.isfinite(rows[:, 1:]).all():
+        raise ValidationError("theta, dtheta and dchi must be finite")
+    probs, deltas = _interior_dist(rows[:, 0]), _centered_direction(rows[:, 2])
+    simplex._check_rows(probs, "probs")
+    simplex._check_rows(deltas, "deltas")
+    theta = statespace._reduced_angles(rows[:, 1])
+    dth = rows[:, 3] + a * rows[:, 4]
+    quad = statespace._polar_quadratic_rows(probs, deltas, dth)
+    dq = statespace._pushforward_rows(probs, theta, deltas, dth)
+    return max(0.0, float(np.abs(quad - simplex._row_dots(dq, dq)).max()))
+
+
 def run_metric_check(cfg: RunConfig) -> Report:
     report = Report("metric-check", cfg.echo())
     rng = np.random.default_rng(cfg.seed)
@@ -320,23 +351,7 @@ def run_metric_check(cfg: RunConfig) -> Report:
     report.le("triangle_inequality_max_violation", worst_triangle, 1e-12)
     report.le("quadratic_scaling_max_error", worst_scaling, 1e-15)
 
-    worst_polar = 0.0
-    for _ in range(200):
-        gauge = statespace.GaugeConvention(
-            a=float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
-            b=float(rng.uniform(0.0, 2.0 * math.pi)),
-        )
-        ps = statespace.PolarState(
-            simplex.ProbDist(_interior_dist(rng.random(cfg.n))),
-            rng.uniform(0.0, 2.0 * math.pi, size=cfg.n),
-        )
-        dp = simplex.TangentVec(_centered_direction(rng.random(cfg.n)))
-        dtheta = rng.uniform(-1.0, 1.0, size=cfg.n)
-        dchi = rng.uniform(-1.0, 1.0, size=cfg.n)
-        quad = statespace.polar_metric_quadratic(ps, dp, dtheta, gauge, dchi)
-        dq = statespace.polar_pushforward(ps, dp, dtheta + gauge.a * dchi)
-        worst_polar = max(worst_polar, abs(quad - float(dq @ dq)))
-    report.le("polar_metric_consistency_max", worst_polar, 1e-10)
+    report.le("polar_metric_consistency_max", _polar_consistency(rng, cfg.n), 1e-10)
 
     grid = np.linspace(0.0, 1.0, 101)
     slope = float(rng.uniform(0.5, 3.0))
@@ -642,22 +657,25 @@ def run_born_check(cfg: RunConfig) -> Report:
 def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
     """Yield (d_S, d_H) arrays of `draws` envelope draws, one pair per pass.
 
-    Draw k takes u and v as random_complex_state does, then the seed of its
-    Haar measurement W, from rng.  d_S is statistical_distance of the outcome
-    distributions |W u|^2 and |W v|^2 and d_H is hilbert_distance(u, v); the
+    Draw k takes the Gaussians of u and v as random_complex_state does (real
+    parts, then imaginary), then the seed of its Haar measurement W, from rng.
+    d_S is statistical_distance of the outcome distributions |W u|^2 and
+    |W v|^2 and d_H is hilbert_distance(u, v); the scaling of the states, the
     QR, the matrix-vector products and both distances run over the whole
-    stack, the same arithmetic as building a Measurement and two ProbDist
-    objects per draw.
+    stack, the same arithmetic as building two ComplexStates, a Measurement
+    and two ProbDist objects per draw.
     """
     per_pass = transforms._per_pass(16 * n * n)
     for start in range(0, draws, per_pass):
         size = min(per_pass, draws - start)
-        ab = np.empty((2, size, n), dtype=complex)
+        # per draw: u re, u im, v re, v im
+        gauss = np.empty((size, 2, 2, n))
         seeds = np.empty(size, dtype=np.int64)
-        for k in range(size):
-            ab[0, k] = statespace._random_amplitudes(rng, n)
-            ab[1, k] = statespace._random_amplitudes(rng, n)
+        for k, block in enumerate(gauss):
+            rng.standard_normal(out=block)
             seeds[k] = rng.integers(2**62)
+        z = statespace._unit_rows(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+        ab = np.ascontiguousarray(z.transpose(1, 0, 2))
         w = transforms._haar_seeded(streams(seeds), size, n, complex_=True)
         transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
         # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)

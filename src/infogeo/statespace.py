@@ -39,11 +39,12 @@ from .simplex import (
     ProbDist,
     TangentVec,
     _integer,
+    _fisher_rows,
     _moving,
+    _norms,
     _readonly_row,
     _row_dots,
     _vector,
-    fisher_quadratic,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -105,11 +106,17 @@ class PolarState:
         # a 2-D theta is a ValidationError, a wrong length a DimensionMismatch
         if np.ndim(self.theta) != 1:
             raise ValidationError(f"theta must be one-dimensional, not {np.ndim(self.theta)}-D")
-        reduced = np.mod(_vector(self.theta, "theta", size=self.p.n), TWO_PI)
-        # mod can return 2*pi for tiny negative inputs; fold it back
-        reduced[reduced >= TWO_PI] = 0.0
+        reduced = _reduced_angles(_vector(self.theta, "theta", size=self.p.n))
         reduced.flags.writeable = False
         object.__setattr__(self, "theta", reduced)
+
+
+def _reduced_angles(theta: np.ndarray) -> np.ndarray:
+    # finite angles reduced to [0, 2pi): mod can return 2pi for tiny negative
+    # inputs, which fold back to 0
+    reduced = np.mod(theta, TWO_PI)
+    reduced[reduced >= TWO_PI] = 0.0
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,13 @@ def polar_metric_quadratic(
     n = ps.p.n
     dtheta = _vector(dtheta, "dtheta", size=n)
     dchi = np.zeros(n) if dchi is None else _vector(dchi, "dchi", size=n)
-    angular = ps.p.probs * (dtheta + g.a * dchi) ** 2
-    return fisher_quadratic(ps.p, dp) + float(angular.sum())
+    return float(_polar_quadratic_rows(ps.p.probs, dp.deltas, dtheta + g.a * dchi))
+
+
+def _polar_quadratic_rows(probs: np.ndarray, deltas: np.ndarray, dth: np.ndarray) -> np.ndarray:
+    """polar_metric_quadratic over the last axis of (..., n) rows of checked
+    probabilities, tangent directions and total angle perturbations."""
+    return _fisher_rows(probs, deltas) + (probs * dth**2).sum(axis=-1)
 
 
 def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarray:
@@ -244,13 +256,21 @@ def polar_pushforward(ps: PolarState, dp: TangentVec, dtheta_total) -> np.ndarra
     Linearization of from_polar; requires p_i > 0 wherever dp_i != 0 and
     theta actually turns only where p_i > 0 contributes.
     """
-    n = ps.p.n
-    dth = _vector(dtheta_total, "dtheta_total", size=n)
-    moving = _moving(ps.p.probs, dp.deltas)
-    r = np.sqrt(ps.p.probs)
-    dr = np.zeros(n)
-    np.divide(dp.deltas, 2.0 * r, out=dr, where=moving)
-    c, s = np.cos(ps.theta), np.sin(ps.theta)
+    dth = _vector(dtheta_total, "dtheta_total", size=ps.p.n)
+    return _pushforward_rows(ps.p.probs, ps.theta, dp.deltas, dth)
+
+
+def _pushforward_rows(
+    probs: np.ndarray, theta: np.ndarray, deltas: np.ndarray, dth: np.ndarray
+) -> np.ndarray:
+    """polar_pushforward over the last axis of (..., n) rows of checked
+    probabilities, reduced angles, tangent directions and total angle
+    perturbations: (..., 2n) rows."""
+    moving = _moving(probs, deltas)
+    r = np.sqrt(probs)
+    dr = np.zeros(r.shape)
+    np.divide(deltas, 2.0 * r, out=dr, where=moving)
+    c, s = np.cos(theta), np.sin(theta)
     return _interleave(dr * c - r * s * dth, dr * s + r * c * dth)
 
 
@@ -296,13 +316,15 @@ def random_complex_state(n: int, seed) -> ComplexState:
     """
     if _integer(n, "n") < 2:
         raise ValidationError("n must be >= 2")
-    return ComplexState(_random_amplitudes(np.random.default_rng(seed), n))
+    rng = np.random.default_rng(seed)
+    # real parts first
+    return ComplexState(_unit_rows(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
 
 
-def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    # the unchecked amplitudes of random_complex_state: real parts first
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    # the scaling of random_complex_state and random_real_state: each row
+    # (last axis) of a stack of draws divided by its norm
+    return z / _norms(z)[..., None]
 
 
 def random_real_state(dim: int, seed) -> RealState:
@@ -313,23 +335,27 @@ def random_real_state(dim: int, seed) -> RealState:
     dim = _integer(dim, "dim")
     if dim < 4 or dim % 2 != 0:
         raise ValidationError("dim must be even and >= 4")
-    return RealState(_direction(np.random.default_rng(seed), dim))
+    z = np.empty(dim)
+    _draw_direction(np.random.default_rng(seed), z)
+    return RealState(_unit_rows(z))
 
 
-def _direction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # the unchecked q of random_real_state: standard normal draws until one
-    # has norm above 1e-8, scaled to unit norm
+def _draw_direction(rng: np.random.Generator, row: np.ndarray) -> None:
+    # random_real_state's draw, unscaled, into a contiguous row: standard
+    # normals until their norm exceeds 1e-8 (the dot np.linalg.norm takes)
     while True:
-        z = rng.standard_normal(dim)
-        norm = np.linalg.norm(z)
-        if norm > 1e-8:
-            return z / norm
+        rng.standard_normal(out=row)
+        if math.sqrt(row @ row) > 1e-8:
+            return
 
 
 def _real_states_seeded(gens, count: int, dim: int) -> np.ndarray:
     """random_real_state(dim, s).q for count seeds s, gens yielding a
-    Generator in the state of np.random.default_rng(s) per seed, checked in
-    one pass."""
-    q = np.array([_direction(g, dim) for _, g in zip(range(count), gens)])
+    Generator in the state of np.random.default_rng(s) per seed, scaled and
+    checked in one pass."""
+    q = np.empty((count, dim))
+    for row, g in zip(q, gens):
+        _draw_direction(g, row)
+    q = _unit_rows(q)
     _check_unit_rows(q)
     return q

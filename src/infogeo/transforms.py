@@ -409,9 +409,9 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 def _haar_seeded(gens, count: int, dim: int, complex_=False) -> np.ndarray:
     """random_orthogonal(dim, s) (random_unitary when complex_) for count
     seeds s, gens yielding a Generator in the state of
-    np.random.default_rng(s) per seed, as one stack: a Gaussian draw per
-    seed, then one QR pass."""
-    z = np.empty((count, dim, dim), dtype=complex if complex_ else float)
-    for k, g in zip(range(count), gens):
-        z[k] = _gaussian(g, (dim, dim), complex_)
-    return _haar_from_gaussian(z)
+    np.random.default_rng(s) per seed, as one stack: _gaussian's draws per
+    seed (every real part, then every imaginary part), then one QR pass."""
+    z = np.empty((count, 2 if complex_ else 1, dim, dim))
+    for block, g in zip(z, gens):
+        g.standard_normal(out=block)
+    return _haar_from_gaussian(z[:, 0] + 1j * z[:, 1] if complex_ else z[:, 0])

@@ -22,6 +22,7 @@ from infogeo import (
     monte_carlo_gain,
     shannon_entropy,
 )
+from infogeo._streams import substreams
 
 HALF = ProbDist([0.5, 0.5])
 SKEW = ProbDist([0.25, 0.75])
@@ -373,3 +374,38 @@ def test_monte_carlo_rejects_seeds_as_seed_sequence_does():
         monte_carlo_gain(exp, trials=3, seed=-1)
     with pytest.raises(TypeError):
         monte_carlo_gain(exp, trials=3, seed=1.5)
+
+
+@pytest.mark.parametrize("tosses", [3, 800], ids=["inversion", "btpe"])
+@pytest.mark.parametrize("p0", [0.0, 1.0, 0.3, 0.5, 0.505])
+def test_binomial_draw_equals_multinomial_first_count(p0, tosses):
+    # monte_carlo_gain's two-outcome draw: binomial(n, p_0) is multinomial's
+    # first count, from the same stream state, leaving the same state behind
+    # (n = 3 takes the inversion sampler, n = 800 BTPE)
+    pair = zip(substreams(11, range(2000)), substreams(11, range(2000)))
+    for rng_m, rng_b in pair:
+        counts = rng_m.multinomial(tosses, [p0, 1.0 - p0])
+        first = rng_b.binomial(tosses, p0)
+        assert counts.tolist() == [first, tosses - first]
+        assert rng_m.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "p, p2, tosses",
+    [([0.5, 0.5], [0.505, 0.495], 800), ([1 / 3] * 3, [1 / 3 + 0.01, 1 / 3, 1 / 3 - 0.01], 200)],
+    ids=["n2", "n3"],
+)
+def test_monte_carlo_scores_each_distinct_log_ratio_once(p, p2, tosses):
+    exp = CoinExperiment(ProbDist(p), ProbDist(p2), tosses)
+    expected, log_ratios = _per_trial_reference(exp, 3000, 5, _python_float_entropy)
+    calls = []
+
+    def counting_entropy(pi_a, pi_b):
+        calls.append(pi_a)
+        return _python_float_entropy(pi_a, pi_b)
+
+    assert monte_carlo_gain(exp, trials=3000, seed=5, u=counting_entropy) == expected
+    distinct = np.unique(log_ratios).size
+    assert distinct < 1000  # far fewer than the trials
+    # once per distinct value, once for the prior, three times for the summary
+    assert len(calls) <= distinct + 4

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogeo import (
+    GaugeConvention,
     Measurement,
+    PolarState,
     ProbDist,
     RealState,
     TangentVec,
@@ -25,6 +27,8 @@ from infogeo import (
     gauge_shift,
     hilbert_distance,
     outcome_distribution,
+    polar_metric_quadratic,
+    polar_pushforward,
     random_complex_state,
     random_orthogonal,
     random_real_state,
@@ -49,6 +53,7 @@ from infogeo.cli import (
     _haar_draws,
     _interior_dist,
     _kl_fisher_errors,
+    _polar_consistency,
     _worst_pullback,
     build_parser,
     main,
@@ -56,7 +61,8 @@ from infogeo.cli import (
     run_correspondence,
     run_wootters,
 )
-from infogeo import distmax, transforms
+from infogeo import distmax, simplex, statespace, transforms
+from infogeo._streams import streams
 from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
 from infogeo.reporting import Report, array_from_json, array_to_json
 
@@ -689,6 +695,118 @@ def test_centered_direction_maps_all_equal_row_to_edge():
     assert _centered_direction(np.full(3, 0.7)).tolist() == [1.0, 0.0, -1.0]
 
 
+def _per_round_polar(rng, n):
+    """metric-check's 200 polar-chart rounds through the public objects and
+    functions, one round at a time."""
+    worst = 0.0
+    for _ in range(200):
+        gauge = GaugeConvention(
+            a=float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
+            b=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        ps = PolarState(
+            ProbDist(_interior_dist(rng.random(n))), rng.uniform(0.0, 2.0 * math.pi, size=n)
+        )
+        dp = TangentVec(_centered_direction(rng.random(n)))
+        dtheta = rng.uniform(-1.0, 1.0, size=n)
+        dchi = rng.uniform(-1.0, 1.0, size=n)
+        quad = polar_metric_quadratic(ps, dp, dtheta, gauge, dchi)
+        dq = polar_pushforward(ps, dp, dtheta + gauge.a * dchi)
+        worst = max(worst, abs(quad - float(dq @ dq)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_polar_rounds_equal_per_round_public_calls(n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _polar_consistency(rng, n)
+    assert got == _per_round_polar(ref_rng, n) and got > 0.0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Draws:
+    """A Generator whose named method draws as usual but gives `value` in
+    place of every entry of its first result."""
+
+    def __init__(self, seed, method, value):
+        self._rng, self._method, self._value = np.random.default_rng(seed), method, value
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name != self._method:
+            return draw
+
+        def first(*args, **kwargs):
+            self._method = None
+            result = np.asarray(draw(*args, **kwargs))
+            result[...] = self._value
+            return result[()]
+
+        return first
+
+
+@pytest.mark.parametrize(
+    "method, value, error",
+    [
+        ("choice", 0.0, "gauge slope"),
+        ("uniform", math.inf, "gauge slope"),
+        ("random", math.nan, "non-finite"),
+    ],
+)
+def test_polar_rounds_keep_the_per_round_checks(method, value, error):
+    # the exception types GaugeConvention, PolarState, ProbDist and TangentVec
+    # raise in the round whose draw is bad
+    with pytest.raises(ValidationError, match=error):
+        _per_round_polar(_Draws(3, method, value), 3)
+    with pytest.raises(ValidationError, match=error):
+        _polar_consistency(_Draws(3, method, value), 3)
+
+
+def _direction_reference(rng, dim):
+    # random_real_state's draw one tangent at a time: standard normals until
+    # np.linalg.norm exceeds 1e-8, scaled to unit norm
+    while True:
+        z = rng.standard_normal(dim)
+        norm = np.linalg.norm(z)
+        if norm > 1e-8:
+            return z / norm
+
+
+def _per_tangent_pullback(rng, n, tangents):
+    """_worst_pullback with each point drawn and scaled on its own."""
+    q, dq = np.empty((2, tangents, 2 * n))
+    for t in range(tangents):
+        q[t] = _direction_reference(rng, 2 * n)
+        dq[t] = rng.uniform(-1.0, 1.0, size=2 * n)
+    dq = 1e-3 * (dq - simplex._row_dots(dq, q)[:, None] * q)
+    return float(np.abs(simplex._fisher_rows(q**2, 2.0 * q * dq) - simplex._row_dots(dq, dq)).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_worst_pullback_equals_per_tangent_reference(n):
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    assert _worst_pullback(rng, n, 300) == _per_tangent_pullback(ref_rng, n, 300)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the first point's draw has norm 0, below 1e-8: it is drawn again
+    rng, ref_rng = _Draws(n, "standard_normal", 0.0), _Draws(n, "standard_normal", 0.0)
+    assert _worst_pullback(rng, n, 50) == _per_tangent_pullback(ref_rng, n, 50)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [4, 6, 128])
+def test_real_states_seeded_equal_per_seed_reference(dim):
+    seeds = [0, 1, 2**40, 10**30, *range(5, 300)]
+    ref = [_direction_reference(np.random.default_rng(s), dim) for s in seeds]
+    # a longer generator of streams: only count of them are taken
+    got = statespace._real_states_seeded(streams([*seeds, 1]), len(seeds), dim)
+    assert got.tolist() == np.array(ref).tolist()
+    rng, ref_rng = _Draws(dim, "standard_normal", 0.0), _Draws(dim, "standard_normal", 0.0)
+    got = statespace._real_states_seeded(iter([rng]), 1, dim)
+    assert got.tolist() == [_direction_reference(ref_rng, dim).tolist()]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # the wootters envelope's array pass against a per-draw reference loop
 
@@ -752,10 +870,44 @@ def test_envelope_checks_unitarity_and_normalization(monkeypatch):
     with pytest.raises(NotUnitary):
         list(_envelope_distances(np.random.default_rng(7), 3, 20))
     monkeypatch.setattr(transforms, "_haar_from_gaussian", haar)
-    amplitudes = statespace._random_amplitudes
-    monkeypatch.setattr(statespace, "_random_amplitudes", lambda rng, n: 1.001 * amplitudes(rng, n))
+    unit_rows = statespace._unit_rows
+    monkeypatch.setattr(statespace, "_unit_rows", lambda z: 1.001 * unit_rows(z))
     with pytest.raises(ValidationError, match="probs sum to"):
         list(_envelope_distances(np.random.default_rng(7), 3, 20))
+
+
+def _per_draw_envelope_passes(rng, n, draws):
+    """The envelope's passes with every draw's states and Gaussian block
+    drawn and scaled one at a time, as _envelope_distances did before its
+    draws were stacked."""
+    per_pass = transforms._per_pass(16 * n * n)
+    for start in range(0, draws, per_pass):
+        size = min(per_pass, draws - start)
+        ab = np.empty((2, size, n), dtype=complex)
+        seeds = np.empty(size, dtype=np.int64)
+        for k in range(size):
+            for j in range(2):
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                ab[j, k] = z / np.linalg.norm(z)
+            seeds[k] = rng.integers(2**62)
+        gauss = [transforms._gaussian(g, (n, n), complex_=True) for g in streams(seeds)]
+        w = transforms._haar_from_gaussian(np.array(gauss))
+        sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
+        yield simplex._distance_rows(*sq[1]), distmax._hilbert_angle(ab[0], ab[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_envelope_equals_per_draw_draws_around_a_pass(n):
+    per_pass = transforms._per_pass(16 * n * n)
+    for draws in (per_pass - 1, per_pass, per_pass + 1):
+        rng, ref_rng = np.random.default_rng(draws), np.random.default_rng(draws)
+        got = list(_envelope_distances(rng, n, draws))
+        ref = list(_per_draw_envelope_passes(ref_rng, n, draws))
+        assert [len(ds) for ds, _ in got] == [len(ds) for ds, _ in ref]
+        assert [[ds.tolist(), dh.tolist()] for ds, dh in got] == [
+            [ds.tolist(), dh.tolist()] for ds, dh in ref
+        ]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

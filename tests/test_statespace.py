@@ -257,6 +257,35 @@ def test_polar_metric_matches_pushforward():
         assert quad == pytest.approx(float(dq @ dq), rel=1e-10, abs=1e-12)
 
 
+def test_polar_functions_equal_their_one_row_formulas():
+    # the public functions are stacks of one over the row kernels; their
+    # values are those of the one-row formulas, bit for bit
+    from infogeo import fisher_quadratic
+
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 8):
+        for _ in range(40):
+            probs = rng.uniform(0.1, 1.0, size=n)
+            probs[0] = 0.0  # an unmoved outcome of zero probability
+            p = ProbDist.renormalized(probs)
+            d = rng.uniform(-1.0, 1.0, size=n)
+            d[0] = 0.0
+            d[1:] -= d[1:].mean()
+            dp = TangentVec(d)
+            dtheta, dchi = rng.uniform(-1.0, 1.0, size=(2, n))
+            g = GaugeConvention(a=float(rng.uniform(-2.0, 2.0)))
+            ps = PolarState(p, rng.uniform(-7.0, 7.0, size=n))
+            dth = dtheta + g.a * dchi
+            quad = fisher_quadratic(p, dp) + float((p.probs * dth**2).sum())
+            assert polar_metric_quadratic(ps, dp, dtheta, g, dchi) == quad
+            r = np.sqrt(p.probs)
+            dr = np.zeros(n)
+            np.divide(dp.deltas, 2.0 * r, out=dr, where=dp.deltas != 0.0)
+            c, s = np.cos(ps.theta), np.sin(ps.theta)
+            dq = np.ravel(np.column_stack((dr * c - r * s * dth, dr * s + r * c * dth)))
+            assert polar_pushforward(ps, dp, dth).tolist() == dq.tolist()
+
+
 def test_polar_metric_errors():
     ps = PolarState(ProbDist([0.0, 1.0]), [0.0, 0.0])
     with pytest.raises(SingularMetric):

@@ -453,3 +453,17 @@ def test_frobenius_rounds_as_numpy_norm(n):
         norms = _norms(rows)
         assert norms.shape == rows.shape[:-1]
         assert norms.ravel().tolist() == [np.linalg.norm(r) for r in rows.reshape(-1, n)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["orthogonal", "unitary"])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_haar_seeded_equals_per_seed_gaussian_draws(n, complex_):
+    # one standard_normal(out=) block per seed: _gaussian's draws (real
+    # parts, then imaginary) and the same QR pass
+    seeds = [0, 1, 2**40, *range(7, 60)]
+    gauss = [transforms._gaussian(np.random.default_rng(s), (n, n), complex_) for s in seeds]
+    # a longer generator of streams: only count of them are taken
+    got = transforms._haar_seeded(streams([*seeds, 1]), len(seeds), n, complex_)
+    assert got.tolist() == transforms._haar_from_gaussian(np.array(gauss)).tolist()
+    public = random_unitary if complex_ else random_orthogonal
+    assert got[3].tolist() == public(n, seeds[3]).tolist()
