@@ -31,8 +31,8 @@ from .reporting import Report, array_to_json, format_float, render_report
 # 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
     # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2): 29.2 MB
-    # traced at 64; wootters peaks at 67 MB traced at 64 (one pair, budget 1),
-    # most of it the real parts of the certifier's 2000 Gaussian draws (66 MB)
+    # traced at 64; wootters peaks at 1.1 MB traced at 64 (one pair, budget 1),
+    # most of it the certifier's or the envelope's passes (0.84, 0.77 MB alone)
     "n": 64,
     # (trials, n) counts and the posterior pass's temporaries: ~1.6 kB per
     # trial at n = 64, ~0.4 GB at the cap
@@ -54,11 +54,11 @@ SIZE_CAPS = {
     # correspondence takes draws in passes of at most 8 (1.7 MB traced at
     # n = 8 for 1000 and 4000 draws; 29.2 MB at n = 64 for 40 and 160, nearly
     # all of it the constructed maps) and wootters' envelope in passes of
-    # transforms._PASS_BYTES of measurements (0.95 MB traced at n = 8 for 2000
-    # and 5000 draws, 0.81 MB at n = 64 for 8, 64 and 1000), so memory stays
-    # flat; the cap bounds the time, ~5 min at ~0.32 ms per correspondence
-    # draw (~2.3 ms at n = 64) and ~1.2 min at ~0.06-0.07 ms per envelope
-    # draw at n = 8 (~20 min at ~1.2 ms, n = 64)
+    # transforms._PASS_BYTES of Gaussians (0.79 MB traced at n = 8 for 2000
+    # and 5000 draws, 0.77 MB at n = 64 for 80, 1000 and 5000), so memory
+    # stays flat; the cap bounds the time, ~5 min at ~0.32 ms per
+    # correspondence draw (~2.3 ms at n = 64) and ~5-6 s at ~5-6 us per
+    # envelope draw at n = 8 (~20-23 s at ~20-23 us, n = 64)
     "draws": 1_000_000,
 }
 
@@ -658,28 +658,23 @@ def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
     """Yield (d_S, d_H) arrays of `draws` envelope draws, one pair per pass.
 
     Draw k takes the Gaussians of u and v as random_complex_state does (real
-    parts, then imaginary), then the seed of its Haar measurement W, from rng.
-    d_S is statistical_distance of the outcome distributions |W u|^2 and
-    |W v|^2 and d_H is hilbert_distance(u, v); the scaling of the states, the
-    QR, the matrix-vector products and both distances run over the whole
-    stack, the same arithmetic as building two ComplexStates, a Measurement
-    and two ProbDist objects per draw.
+    parts, then imaginary), then those of an n x 2 complex Gaussian, from rng.
+    Its Haar columns C, an isometry as a Measurement's W is unitary, give the
+    outcome amplitudes C R = W [u v] (transforms._haar_images).  d_S is
+    statistical_distance of |W u|^2 and |W v|^2 and d_H is
+    hilbert_distance(u, v), each over the whole stack with the arithmetic of
+    two ComplexStates and two ProbDist objects per draw.
     """
-    per_pass = transforms._per_pass(16 * n * n)
+    per_pass = transforms._per_pass(64 * n)
     for start in range(0, draws, per_pass):
-        size = min(per_pass, draws - start)
-        # per draw: u re, u im, v re, v im
-        gauss = np.empty((size, 2, 2, n))
-        seeds = np.empty(size, dtype=np.int64)
-        for k, block in enumerate(gauss):
-            rng.standard_normal(out=block)
-            seeds[k] = rng.integers(2**62)
-        z = statespace._unit_rows(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+        # per draw, rows of 2n: u (re, im), v (re, im), the n x 2 Gaussian re, im
+        gauss = rng.standard_normal((min(per_pass, draws - start), 4, 2 * n))
+        z = statespace._unit_rows(gauss[:, :2, :n] + 1j * gauss[:, :2, n:])
+        c = transforms._haar_from_gaussian((gauss[:, 2] + 1j * gauss[:, 3]).reshape(-1, n, 2))
+        transforms._require_isometries(c, NotUnitary, "C^dagger @ C of a Haar measurement")
         ab = np.ascontiguousarray(z.transpose(1, 0, 2))
-        w = transforms._haar_seeded(streams(seeds), size, n, complex_=True)
-        transforms._require_isometries(w, NotUnitary, "W^dagger @ W of a Haar measurement")
         # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
-        sq = np.abs(np.stack((ab, np.matmul(w, ab[..., None])[..., 0]))) ** 2
+        sq = np.abs(np.stack((ab, transforms._haar_images(z, c).transpose(1, 0, 2)))) ** 2
         simplex._check_rows(sq, "probs")
         ds = simplex._distance_rows(*sq[1])
         yield ds, distmax._hilbert_angle(ab[0], ab[1])

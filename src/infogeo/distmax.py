@@ -39,7 +39,9 @@ does not depend on the stack it runs in.  maximize_statistical_distance is a
 stack of one pair.
 
 A Haar-sampling certifier provides an independent stochastic lower envelope
-of the same supremum: the largest _distance_after over its Haar draws.
+of the same supremum: the largest d_S over its Haar draws, each drawn in
+O(n) as the images x = W a, d = W (b' - a) of _distance_after
+(transforms._haar_images).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .simplex import _angle_between, _integer, _row_dots, _vector
 from .statespace import ComplexState
-from .transforms import _gaussian, _haar_from_gaussian, _per_pass
+from .transforms import _gaussian, _haar_from_gaussian, _haar_images, _per_pass
 
 # The descent (see _descend).  Over 1800 first descents (n = 2, 3, 4 and 8;
 # 45 pairs each, 10 restarts), 256 of the 257 that stopped 1e-13 or more
@@ -72,9 +74,6 @@ _SMOOTHING = (1e-2, 1e-5, 1e-8)
 _SMOOTHING_STEPS = 60
 _EPS = 2.0**-52
 _TINY = np.finfo(float).tiny
-# certify_upper_bound draws its Gaussians 4096 Haar matrices at a time, which
-# fixes its values; their QR and distances run in _per_pass batches
-_CERTIFY_CHUNK = 4096
 
 
 def hilbert_distance(u: ComplexState, v: ComplexState) -> float:
@@ -164,7 +163,11 @@ def _distance_after(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # it is O(d) with the relative precision of b' - a as the states close,
     # so d_S stays below d_H up to relative rounding
     x = (w @ a[..., None])[..., 0]
-    d = (w @ (_aligned(a, b) - a)[..., None])[..., 0]
+    return _output_distance(x, (w @ (_aligned(a, b) - a)[..., None])[..., 0])
+
+
+def _output_distance(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # _distance_after from the outputs x = W a and d = W (b' - a)
     total = np.abs(x + d) + np.abs(x)
     diff = np.zeros_like(total)
     np.divide(np.real((2.0 * x + d) * d.conj()), total, out=diff, where=total > 0.0)
@@ -360,7 +363,7 @@ def _restart(xy: np.ndarray, kicks) -> tuple[np.ndarray, np.ndarray]:
     # One restart per row pair (W a, W b) of the stack xy: _continued from
     # it.  While an element's lowest overlap so far is stalled, its outputs
     # are kicked by the element's next Haar unitary K (kicks(elements) gives
-    # a stack of them; K W is a fresh Haar start) and the descent and
+    # a stack of its columns; K W is a fresh Haar start) and the descent and
     # continuation start over from them, up to _KICKS times.  Returns the
     # lowest overlap's outputs and the evaluations of all descents.
     best, best_val, best_stalled, evaluations = _continued(xy)
@@ -368,7 +371,7 @@ def _restart(xy: np.ndarray, kicks) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(_KICKS):
         if not todo.size:
             break
-        xy, val, stalled, count = _continued(best[todo] @ kicks(todo).swapaxes(1, 2))
+        xy, val, stalled, count = _continued(_haar_images(best[todo], kicks(todo)))
         evaluations[todo] += count
         better = val < best_val[todo]
         up = todo[better]
@@ -440,12 +443,12 @@ def _maximize_pairs(pairs, budget: int):
                 yield pair, unitary_from_params(start, n), stream.bit_generator.state
 
     def kicks(elements):
-        # each element's next Haar kick, from its substream's state, saved in
-        # the current chunk's states
-        z = np.empty((len(elements), n, n), dtype=complex)
+        # each element's next Haar kick's columns, from its substream's state,
+        # saved in the current chunk's states
+        z = np.empty((len(elements), n, 2), dtype=complex)
         for row, k in enumerate(elements):
             rng.bit_generator.state = states[k]
-            z[row] = _gaussian(rng, (n, n), complex_=True)
+            z[row] = _gaussian(rng, (n, 2), complex_=True)
             states[k] = rng.bit_generator.state
         return _haar_from_gaussian(z)
 
@@ -505,7 +508,8 @@ def certify_upper_bound(
     """Max statistical distance over Haar-random measurements.
 
     A stochastic lower bound of the supremum; never exceeds the Hilbert
-    angle (up to floating error).  Deterministic for a fixed seed.
+    angle (up to floating error).  Deterministic for a fixed seed: a draw
+    takes the real, then the imaginary parts of its n x 2 Gaussian.
     """
     if u.n != v.n:
         raise DimensionMismatch(f"state dimensions differ: {u.n} vs {v.n}")
@@ -513,14 +517,11 @@ def certify_upper_bound(
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    batch = _per_pass(16 * u.n * u.n)
+    vectors = np.stack((u.v, _aligned(u.v, v.v) - u.v))
+    per_pass = _per_pass(32 * u.n)
     best = 0.0
-    for lo in range(0, samples, _CERTIFY_CHUNK):
-        # a chunk's draws are those of _haar(rng, n, (chunk,), complex_=True),
-        # all real parts first; each sub-batch draws its imaginary parts as it
-        # runs, the same stream: the same matrices
-        re = rng.standard_normal((min(samples - lo, _CERTIFY_CHUNK), u.n, u.n))
-        for part in np.split(re, range(batch, len(re), batch)):
-            q = _haar_from_gaussian(part + 1j * rng.standard_normal(part.shape))
-            best = max(best, float(_distance_after(q, u.v, v.v).max()))
+    for lo in range(0, samples, per_pass):
+        z = rng.standard_normal((min(per_pass, samples - lo), 2, u.n, 2))
+        xd = _haar_images(vectors, _haar_from_gaussian(z[:, 0] + 1j * z[:, 1]))
+        best = max(best, float(_output_distance(xd[:, 0], xd[:, 1]).max()))
     return best

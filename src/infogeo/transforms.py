@@ -57,9 +57,11 @@ def _frobenius(ms: np.ndarray) -> np.ndarray:
 
 def _require_isometries(m: np.ndarray, error: type, what: str) -> np.ndarray:
     """Raise error unless m^dagger @ m = I (m.T @ m for real m) within
-    Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, n) stack;
-    return each matrix's Frobenius norm of m^dagger @ m - I.  Non-finite
-    entries raise before the product, which would flag inf * 0."""
+    Frobenius norm STRUCTURAL_TOL for every matrix of a (..., n, k) stack,
+    k <= n (unitary or orthogonal when k = n; isometries, such as Haar
+    columns, when k < n); return each matrix's Frobenius norm of
+    m^dagger @ m - I.  Non-finite entries raise before the product, which
+    would flag inf * 0."""
     if not np.isfinite(m).all():
         raise error(f"{what} deviates from I by nan (tol {STRUCTURAL_TOL:g}): non-finite entry")
     defects = _frobenius(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
@@ -369,9 +371,10 @@ def _gaussian(rng: np.random.Generator, shape: tuple, complex_=False) -> np.ndar
 # The byte budget of every array pass whose arrays grow with n: a pass takes
 # _per_pass(item_bytes) items, item_bytes being its largest array per item.
 # It sizes correspondence's map passes (the probe's (maps, 32, 17, 2n) floats)
-# and closure products ((2n)^2 floats), and wootters' envelope draws and
-# certifier sub-batches (n^2 complex).  At n = 2, 16 maps per pass ran no
-# faster than 8 and raised the default batteries' peak RSS by ~0.3 MB.
+# and closure products ((2n)^2 floats), and wootters' envelope draws (8n
+# floats) and certifier draws ((n, 2) complex Gaussians).  At n = 2, 16 maps
+# per pass ran no faster than 8 and raised the default batteries' peak RSS
+# by ~0.3 MB.
 _PASS_BYTES = 140_000
 
 
@@ -380,17 +383,36 @@ def _per_pass(item_bytes: int) -> int:
 
 
 def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
-    """Haar-random matrices from a (*batch, dim, dim) stack of (complex)
-    standard normals.
+    """Haar-random matrices from a (*batch, dim, k) stack of (complex)
+    standard normals, k <= dim.
 
     QR of each matrix with each column of Q scaled by the phase of the
     matching diagonal entry of R, which makes the distribution exactly Haar
-    (Mezzadri, math-ph/0609050).
+    (Mezzadri, math-ph/0609050).  For k < dim the thin QR gives the first k
+    columns of the Haar matrices of any (dim, dim) stack that holds z as its
+    first k columns, bit for bit (tested at dim 2, 3, 8 and 64).
     """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0.0] = 1.0
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_images(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The images W [p q] = C R, as (2, n) rows, of each row pair [p q] of
+    the (..., 2, n) stack vectors under a Haar unitary W, given its (n, 2)
+    Haar columns C of the stack c (_haar_from_gaussian of n x 2 Gaussians).
+
+    A statistical distance after a Haar W needs only such images: with
+    [p q] = Q R a thin QR, W [p q] = (W Q) R, and W Q is distributed as the
+    first two columns of a Haar unitary (Mezzadri 2007, Notices AMS 54:592).
+    So a draw costs O(n), and C R keeps the Gram matrix R^H R of [p q].
+    """
+    r = np.linalg.qr(np.swapaxes(vectors, -1, -2), mode="r")
+    # C R for upper triangular R, elementwise: a matmul over the stack of
+    # small matrices took 5-9 times as long at n = 2 and 8
+    c0, c1 = c[..., 0], c[..., 1]
+    return np.stack((c0 * r[..., :1, 0], c0 * r[..., :1, 1] + c1 * r[..., 1:, 1]), axis=-2)
 
 
 def random_orthogonal(dim: int, seed) -> np.ndarray:

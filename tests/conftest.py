@@ -5,6 +5,11 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
+
+from infogeo import Measurement, outcome_distribution, statistical_distance
+from infogeo.transforms import _haar_from_gaussian
+
 # One human-readable line per acceptance criterion, collected while the
 # acceptance tests run and replayed after the capture ends so they are
 # always visible in plain `pytest -v` output.
@@ -47,3 +52,23 @@ def decimal_ray_angle(x, y, sqrt: bool = False) -> float:
         ny = sum(b * b for b in ys).sqrt()
         half = sum((a / nx - b / ny) ** 2 for a, b in zip(xs, ys)).sqrt() / 2
     return 2.0 * math.asin(float(half))
+
+
+def haar_columns_distance(g, vectors, u, v) -> float:
+    """statistical_distance after the Haar measurement that a draw of Haar
+    columns defines, through the public objects.
+
+    g is the draw's (n, 2) complex Gaussian and [p q] = vectors.T = Q R.
+    The columns are completed to a full Haar W = C_full Q_full^H: C_full is
+    the Haar unitary of an (n, n) Gaussian whose first two columns are g
+    (the rest drawn from a fixed stream), so its first two columns are the
+    draw's columns C, and Q_full is the complete QR's Q of [p q]; then
+    W [p q] = C R.
+    """
+    n = len(g)
+    rng = np.random.default_rng(0)
+    rest = rng.standard_normal((n, n - 2)) + 1j * rng.standard_normal((n, n - 2))
+    c_full = _haar_from_gaussian(np.concatenate((g, rest), axis=1))
+    q_full = np.linalg.qr(np.transpose(vectors), mode="complete")[0]
+    meas = Measurement(c_full @ q_full.conj().T)
+    return statistical_distance(outcome_distribution(meas, u), outcome_distribution(meas, v))

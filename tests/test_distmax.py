@@ -19,8 +19,7 @@ from infogeo import (
 )
 from infogeo import distmax, transforms
 from infogeo.distmax import _distance_after, _maximize_pairs, n_parameters
-from infogeo.transforms import _haar
-from conftest import decimal_ray_angle
+from conftest import decimal_ray_angle, haar_columns_distance
 
 E0 = ComplexState([1.0, 0.0])
 E1 = ComplexState([0.0, 1.0])
@@ -441,30 +440,78 @@ def test_certify_deterministic_and_validates():
         certify_upper_bound(E0, ComplexState([1.0, 0.0, 0.0]))
 
 
+# the certifier's per-draw distances against those of the full Haar unitary
+# each draw's columns complete to, through the public objects: the same
+# measurement up to rounding, fixed at 1e-13 before measuring
+CERTIFY_TOL = 1e-13
+
+
+def _certify_reference(u, v, samples, seed):
+    # per draw: the real, then the imaginary parts of its (n, 2) Gaussian
+    rng = np.random.default_rng(seed)
+    overlap = np.vdot(u.v, v.v)
+    aligned = v.v * (abs(overlap) / overlap if overlap else 1.0)
+    vectors = np.stack((u.v, aligned - u.v))
+    distances = []
+    for _ in range(samples):
+        g = rng.standard_normal((u.n, 2)) + 1j * rng.standard_normal((u.n, 2))
+        distances.append(haar_columns_distance(g, vectors, u, v))
+    return distances
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_certify_single_sample_is_the_haar_unitary_of_its_seed(n):
-    # the certifier and random_unitary share one sampler and one draw order
+    # one draw's value is the distance after the Haar unitary its seed's
+    # columns complete to
     rng = np.random.default_rng(36)
     u, v = random_complex_state(n, rng), random_complex_state(n, rng)
     for seed in range(50):
         cert = certify_upper_bound(u, v, samples=1, seed=seed)
-        assert cert == _distance_after(random_unitary(n, seed), u.v, v.v)
+        (ref,) = _certify_reference(u, v, 1, seed)
+        assert abs(cert - ref) <= CERTIFY_TOL
 
 
 @pytest.mark.parametrize("samples", [1, 2000, 5000])
 def test_certify_equals_the_one_batch_formula(samples, monkeypatch):
-    # the sub-batched QR and distances give exactly what one QR pass and one
-    # _distance_after over each 4096-draw chunk give, at the pass budget and
-    # in passes of 7 draws
+    # the certifier's passes give the same value, bit for bit, at the pass
+    # budget (546 draws at n = 8) and in passes of 7 draws, and it is the
+    # largest per-draw distance of the public objects
     u, v = _seeded_pair(8, 46)
-    rng = np.random.default_rng(9)
-    best, remaining = 0.0, samples
-    while remaining > 0:
-        chunk = min(remaining, 4096)
-        remaining -= chunk
-        q = _haar(rng, 8, (chunk,), complex_=True)
-        best = max(best, float(_distance_after(q, u.v, v.v).max()))
-    for pass_bytes in (transforms._PASS_BYTES, 7 * 16 * 8 * 8):
+    values = []
+    for pass_bytes in (transforms._PASS_BYTES, 7 * 32 * 8):
         monkeypatch.setattr(transforms, "_PASS_BYTES", pass_bytes)
-        assert certify_upper_bound(u, v, samples=samples, seed=9) == best
+        values.append(certify_upper_bound(u, v, samples=samples, seed=9))
+    assert values[0] == values[1]
+    assert abs(values[0] - max(_certify_reference(u, v, samples, 9))) <= CERTIFY_TOL
 
+
+def test_certify_traced_peak_does_not_grow_with_samples():
+    import tracemalloc
+
+    u, v = _seeded_pair(64, 46)
+    certify_upper_bound(u, v, samples=200, seed=1)
+    peaks = []
+    # both run more than two passes of 68 draws at n = 64 (a pass draws
+    # while the last one's arrays are still held)
+    for samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            certify_upper_bound(u, v, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one more draw's Haar columns alone would take 2 kB
+    assert peaks[1] <= peaks[0] + 16 * 1024
+
+
+def test_kicked_outputs_keep_the_gram_matrix_of_the_pair():
+    # a kick maps the outputs [x y] = Q R to C R, C Haar columns: a unitary
+    # acting on the pair, which keeps x^H x, x^H y, y^H y to rounding
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 8, 64):
+        xy = transforms._gaussian(rng, (30, 2, n), complex_=True)
+        c = transforms._haar_from_gaussian(transforms._gaussian(rng, (30, n, 2), complex_=True))
+        kicked = transforms._haar_images(xy, c)
+        gram, kicked_gram = (m.conj() @ m.swapaxes(1, 2) for m in (xy, kicked))
+        scale = np.abs(gram).max(axis=(1, 2))[:, None, None]
+        assert np.abs(kicked_gram - gram).max() <= 1e-14 * n * scale.max()

@@ -455,6 +455,18 @@ def test_frobenius_rounds_as_numpy_norm(n):
         assert norms.ravel().tolist() == [np.linalg.norm(r) for r in rows.reshape(-1, n)]
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_haar_columns_are_the_first_columns_of_the_full_draw(n):
+    # one sampler: the thin QR of an (k, n, 2) stack of Gaussian columns
+    # gives the first two columns of the Haar unitaries of the (k, n, n)
+    # stack that holds them, bit for bit
+    z = transforms._gaussian(np.random.default_rng(n), (20, n, n), complex_=True)
+    full = transforms._haar_from_gaussian(z)
+    columns = transforms._haar_from_gaussian(z[..., :2].copy())
+    assert columns.shape == (20, n, 2)
+    assert columns.tolist() == full[..., :2].tolist()
+
+
 @pytest.mark.parametrize("complex_", [False, True], ids=["orthogonal", "unitary"])
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_haar_seeded_equals_per_seed_gaussian_draws(n, complex_):
