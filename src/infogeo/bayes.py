@@ -15,6 +15,7 @@ signal x = n * ds^2 the Shannon gain is x^2 / 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,6 +25,7 @@ import numpy as np
 from ._streams import substreams
 from .errors import DimensionMismatch, ValidationError, ZeroLikelihoodBoth
 from .simplex import ProbDist, TangentVec, _integer, _vector, fisher_quadratic, kl_divergence
+from .transforms import _per_pass
 
 # An uncertainty function on a binary distribution (pi_a, pi_b).  Must be
 # symmetric in its arguments and maximal at (1/2, 1/2).
@@ -174,6 +176,36 @@ class MonteCarloSummary:
     stderr_gain_at_mean_posterior: float
 
 
+def _trial_log_ratios(exp: CoinExperiment, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct log posterior ratios of the trials, sorted, and each
+    trial's index among them (np.unique's inverse).
+
+    Trial t draws its counts from substream t.  The trials go in passes of
+    _per_pass rows, so no (trials, n) array of counts is built.  searchsorted
+    gives np.unique's inverse since no log ratio is nan: counts drawn from
+    coin 1 have positive weight under it."""
+    ratios = np.empty(trials)
+    seen = []
+    gens = substreams(seed, range(trials))
+    per_pass = _per_pass(32 * exp.p.n)
+    # multinomial draws its first count as binomial(n, p_0), with the same
+    # sampler and cache, and gives the rest to the second outcome
+    p0, row = float(exp.p.probs[0]), np.dtype((np.int64, exp.p.n))
+    for lo in range(0, trials, per_pass):
+        size = min(per_pass, trials - lo)
+        draws = itertools.islice(gens, size)
+        if exp.p.n == 2:
+            heads = np.fromiter((rng.binomial(exp.n, p0) for rng in draws), np.int64, size)
+            counts = np.stack((heads, exp.n - heads), axis=1)
+        else:
+            counts = np.fromiter((rng.multinomial(exp.n, exp.p.probs) for rng in draws), row, size)
+        ratios[lo : lo + size] = _log_odds(exp, counts)
+        seen.append(np.unique(ratios[lo : lo + size]))
+    # the sorted distinct values of all passes, without sorting all trials
+    log_ratios = np.unique(np.concatenate(seen))
+    return log_ratios, np.searchsorted(log_ratios, ratios)
+
+
 def monte_carlo_gain(
     exp: CoinExperiment,
     trials: int,
@@ -192,25 +224,14 @@ def monte_carlo_gain(
         raise ValidationError("trials must be positive")
     if exp.n > np.iinfo(np.int64).max:
         raise ValidationError(f"{exp.n} tosses exceed the sampler's limit of 2**63 - 1")
-    counts = np.empty((trials, exp.p.n), dtype=np.int64)
-    gens = substreams(seed, range(trials))
-    if exp.p.n == 2:
-        # multinomial draws its first count as binomial(n, p_0), with the same
-        # sampler and cache, and gives the rest to the second outcome
-        p0 = float(exp.p.probs[0])
-        for t, rng in enumerate(gens):
-            counts[t, 0] = rng.binomial(exp.n, p0)
-        counts[:, 1] = exp.n - counts[:, 0]
-    else:
-        for t, rng in enumerate(gens):
-            counts[t] = rng.multinomial(exp.n, exp.p.probs)
-    base = u(0.5, 0.5)
     # trials that share a log ratio share their posterior and gain: score
     # each distinct value once (+-0 are one value; both give 1/2)
-    log_ratios, index = np.unique(_log_odds(exp, counts), return_inverse=True)
+    log_ratios, index = _trial_log_ratios(exp, trials, seed)
+    base = u(0.5, 0.5)
     post_values = [_posterior_from_log_ratio(z) for z in log_ratios.tolist()]
     posts = np.array(post_values)[index]
     gains = np.array([base - u(post_a, 1.0 - post_a) for post_a in post_values])[index]
+    del index  # not held through the summary's temporaries
     mean_gain = float(gains.mean())
     stderr_gain = float(gains.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     mean_post = float(posts.mean())

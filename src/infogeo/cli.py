@@ -245,14 +245,20 @@ def _kl_fisher_errors(rng: np.random.Generator, n: int, tangents: int, epsilons)
     and directions d, one entry per eps."""
     # one row per tangent: n draws for the point, then n for the direction
     u = rng.random((tangents, 2 * n))
-    p = _interior_dist(u[:, :n])
-    deltas = np.multiply.outer(epsilons, _centered_direction(u[:, n:]))
-    p2 = p + deltas
-    for rows, kind in ((p, "probs"), (deltas, "deltas"), (p2, "probs")):
-        simplex._check_rows(rows, kind)
-    err = np.abs(simplex._kl_rows(p, p2) - 2.0 * simplex._fisher_rows(p, deltas))
-    # summed tangent by tangent in draw order (cumsum), not pairwise (np.sum)
-    return np.cumsum(err, axis=1)[:, -1] / tangents
+    p, direction = _interior_dist(u[:, :n]), _centered_direction(u[:, n:])
+    del u  # not held through the passes
+    simplex._check_rows(p, "probs")
+    # one eps at a time: a pass holds (tangents, n) arrays, not (eps, tangents, n)
+    errs = []
+    for eps in epsilons:
+        deltas = eps * direction
+        p2 = p + deltas
+        simplex._check_rows(deltas, "deltas")
+        simplex._check_rows(p2, "probs")
+        err = np.abs(simplex._kl_rows(p, p2) - 2.0 * simplex._fisher_rows(p, deltas))
+        # summed tangent by tangent in draw order (cumsum), not pairwise (np.sum)
+        errs.append(np.cumsum(err)[-1] / tangents)
+    return np.array(errs)
 
 
 def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
@@ -666,9 +672,12 @@ def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
     two ComplexStates and two ProbDist objects per draw.
     """
     per_pass = transforms._per_pass(64 * n)
+    # per draw, rows of 2n: u (re, im), v (re, im), the n x 2 Gaussian re, im;
+    # one buffer for every pass, and no pass's arrays held while the next one
+    # draws
+    buffer = np.empty((min(per_pass, draws), 4, 2 * n))
     for start in range(0, draws, per_pass):
-        # per draw, rows of 2n: u (re, im), v (re, im), the n x 2 Gaussian re, im
-        gauss = rng.standard_normal((min(per_pass, draws - start), 4, 2 * n))
+        gauss = rng.standard_normal(out=buffer[: draws - start])
         z = statespace._unit_rows(gauss[:, :2, :n] + 1j * gauss[:, :2, n:])
         c = transforms._haar_from_gaussian((gauss[:, 2] + 1j * gauss[:, 3]).reshape(-1, n, 2))
         transforms._require_isometries(c, NotUnitary, "C^dagger @ C of a Haar measurement")
@@ -676,8 +685,9 @@ def _envelope_distances(rng: np.random.Generator, n: int, draws: int):
         # |u|^2, |v|^2 (the states) and |W u|^2, |W v|^2 (the outcome distributions)
         sq = np.abs(np.stack((ab, transforms._haar_images(z, c).transpose(1, 0, 2)))) ** 2
         simplex._check_rows(sq, "probs")
-        ds = simplex._distance_rows(*sq[1])
-        yield ds, distmax._hilbert_angle(ab[0], ab[1])
+        ds, dh = simplex._distance_rows(*sq[1]), distmax._hilbert_angle(ab[0], ab[1])
+        del gauss, z, c, ab, sq
+        yield ds, dh
 
 
 def run_wootters(cfg: RunConfig) -> Report:

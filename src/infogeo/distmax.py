@@ -519,9 +519,13 @@ def certify_upper_bound(
     rng = np.random.default_rng(seed)
     vectors = np.stack((u.v, _aligned(u.v, v.v) - u.v))
     per_pass = _per_pass(32 * u.n)
+    # one Gaussian buffer for every pass, and no pass's arrays held while the
+    # next one draws
+    gauss = np.empty((min(per_pass, samples), 2, u.n, 2))
     best = 0.0
     for lo in range(0, samples, per_pass):
-        z = rng.standard_normal((min(per_pass, samples - lo), 2, u.n, 2))
+        z = rng.standard_normal(out=gauss[: samples - lo])
         xd = _haar_images(vectors, _haar_from_gaussian(z[:, 0] + 1j * z[:, 1]))
         best = max(best, float(_output_distance(xd[:, 0], xd[:, 1]).max()))
+        del xd
     return best

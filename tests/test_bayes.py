@@ -368,6 +368,23 @@ def test_monte_carlo_matches_spawned_substreams_at_any_seed(seed):
     assert monte_carlo_gain(exp, trials=1100, seed=seed, u=_python_float_entropy) == expected
 
 
+def test_monte_carlo_traced_peak_is_a_few_arrays_of_trials():
+    import tracemalloc
+
+    exp = CoinExperiment(ProbDist([0.5, 0.5]), ProbDist([0.505, 0.495]), 800)
+    monte_carlo_gain(exp, trials=100, seed=1)
+    tracemalloc.start()
+    try:
+        monte_carlo_gain(exp, trials=30000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the trials go in passes, so no (trials, n) array of counts is held: at
+    # most five float64 arrays of one entry per trial (one array of all the
+    # counts and its log-weight temporaries took 1.95 MB)
+    assert peak <= 5 * 8 * 30000
+
+
 def test_monte_carlo_rejects_seeds_as_seed_sequence_does():
     exp = CoinExperiment(HALF, SKEW, 5)
     with pytest.raises(ValueError):

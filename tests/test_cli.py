@@ -653,6 +653,22 @@ def test_metric_rows_match_per_object_loop(n, seed):
     assert rng.random() == ref_next  # both consumed the same stream
 
 
+def test_kl_fisher_errors_traced_peak_does_not_grow_with_epsilons():
+    import tracemalloc
+
+    peaks = []
+    for epsilons in ((1e-2, 5e-3), (1e-2, 5e-3, 2.5e-3, 1e-3, 5e-4, 2.5e-4)):
+        _kl_fisher_errors(np.random.default_rng(1), 8, 2000, epsilons)
+        tracemalloc.start()
+        try:
+            _kl_fisher_errors(np.random.default_rng(1), 8, 2000, epsilons)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one eps at a time: one more eps's (tangents, n) rows alone take 128 kB
+    assert peaks[1] <= peaks[0] + 16 * 1024
+
+
 def _per_round_identities(rng, n):
     """metric-check's 200 rounds of distance identities through the public
     constructors and functions, one round at a time."""
@@ -862,9 +878,9 @@ def test_envelope_traced_peak_does_not_grow_with_draws():
 
     envelope(80)
     peaks = []
-    # both run more than two passes of 34 draws at n = 64 (a pass draws while
-    # the last one's arrays are still held)
-    for draws in (80, 1000):
+    # one pass of 34 draws at n = 64, then 30 passes: no pass may draw while
+    # the last one's arrays are still held
+    for draws in (34, 1020):
         tracemalloc.start()
         try:
             envelope(draws)

@@ -491,9 +491,9 @@ def test_certify_traced_peak_does_not_grow_with_samples():
     u, v = _seeded_pair(64, 46)
     certify_upper_bound(u, v, samples=200, seed=1)
     peaks = []
-    # both run more than two passes of 68 draws at n = 64 (a pass draws
-    # while the last one's arrays are still held)
-    for samples in (200, 2000):
+    # one pass of 68 draws at n = 64, then 30 passes: no pass may draw while
+    # the last one's arrays are still held
+    for samples in (68, 2000):
         tracemalloc.start()
         try:
             certify_upper_bound(u, v, samples=samples, seed=1)

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogeo._streams import _BLOCK, streams, substreams
+from infogeo._streams import (
+    _BLOCK,
+    _PCG_MULT,
+    _PROBE_UINTEGER,
+    _PROBE_WORDS,
+    _State,
+    _word_order,
+    streams,
+    substreams,
+)
 
 
 def _numpy_state(seed, key):
@@ -81,3 +90,85 @@ def test_streams_reject_seeds_as_default_rng_does():
             np.random.default_rng(seed)
         with pytest.raises(error):
             next(streams([3, seed]))
+
+
+# ---------------------------------------------------------------------------
+# the direct state write: every reset leaves the state NumPy's setter leaves
+
+
+def test_reset_after_a_draw_that_caches_a_uint32():
+    # a uint32 draw keeps the other half of its 64-bit word (has_uint32 = 1);
+    # the next reset must clear it, as the setter does
+    for gens, reference in [
+        (substreams(9, range(3)), [_numpy_state(9, k) for k in range(3)]),
+        (streams([4, 5, 6]), [np.random.default_rng(s).bit_generator.state for s in (4, 5, 6)]),
+    ]:
+        for rng, state in zip(gens, reference):
+            assert rng.bit_generator.state == state
+            rng.integers(0, 2**31, dtype=np.uint32, size=1)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_interleaved_stream_iterators_keep_their_own_states():
+    # correspondence advances four streams(...) iterators in turn
+    seeds = [list(range(start, start + _BLOCK + 2)) for start in (0, 10**6)]
+    first, second = (streams(s) for s in seeds)
+    for s, t in zip(*seeds):
+        a = next(first)
+        b = next(second)
+        assert a.bit_generator.state == np.random.default_rng(s).bit_generator.state
+        assert b.bit_generator.state == np.random.default_rng(t).bit_generator.state
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    # a seed sequence whose generate_state(4, uint64) is the given words
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return np.array(self.words, dtype=np.uint64)
+
+
+_TOP = 2**64 - 1
+# generate_state words (seed hi, lo, increment hi, lo) at the 2**64 and
+# 2**128 carry boundaries of inc = 2 w_inc + 1 and (inc + w_state) MULT + inc
+_BOUNDARY_WORDS = [
+    (0, 0, 0, 0),
+    (_TOP, _TOP, _TOP, _TOP),
+    (0, _TOP, 0, 2**63 - 1),
+    (_TOP, _TOP, _TOP, 2**63),
+    (0, 2**63, 2**63, 2**63),
+    (1, 2**64 - 2, 0, 1),
+]
+
+
+def _carries(words):
+    # whether inc_lo + s_lo and r_lo + inc_lo carry, with Python ints
+    s_hi, s_lo, i_hi, i_lo = words
+    inc_lo = (2 * i_lo + 1) & _TOP
+    a_lo = s_lo + inc_lo
+    r_lo = (a_lo & _TOP) * (_PCG_MULT & _TOP) & _TOP
+    return a_lo > _TOP, r_lo + inc_lo > _TOP
+
+
+def test_boundary_words_include_both_low_word_carries():
+    assert all(_carries((0, _TOP, 0, 2**63 - 1)))
+    assert not any(_carries((0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("words", _BOUNDARY_WORDS)
+def test_direct_state_write_equals_the_setter_at_carry_boundaries(words):
+    state = _State()
+    rng = next(state.reset(np.array(words, dtype=np.uint64)[:, None]))
+    assert rng.bit_generator.state == np.random.PCG64(_Words(words)).state
+
+
+def test_layout_probe_order_reads_every_permutation_and_rejects_others():
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2], [3, 1, 0, 2]):
+        read = [_PROBE_WORDS[k] for k in order]
+        assert _word_order(read, [_PROBE_UINTEGER, 1]) == order
+    with pytest.raises(RuntimeError, match="PCG64 state layout"):
+        _word_order([0, 0, 0, 0], [1, _PROBE_UINTEGER])
+    with pytest.raises(RuntimeError, match="PCG64 state layout"):
+        _word_order(_PROBE_WORDS, [0, 0])
