@@ -11,6 +11,7 @@ the values, checks and exception types of one public call per object.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -31,8 +32,9 @@ from .reporting import Report, array_to_json, format_float, render_report
 # 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
     # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2): 29.2 MB
-    # traced at 64; wootters peaks at 1.1 MB traced at 64 (one pair, budget 1),
-    # most of it the certifier's or the envelope's passes (0.84, 0.77 MB alone)
+    # traced at 64; wootters peaks at 0.93 MB traced at 64 (one pair, budget
+    # 1), most of it the certifier's or the envelope's passes (0.70, 0.56 MB
+    # alone)
     "n": 64,
     # (trials, n) counts and the posterior pass's temporaries: ~1.6 kB per
     # trial at n = 64, ~0.4 GB at the cap
@@ -41,15 +43,15 @@ SIZE_CAPS = {
     "tangents": 50_000,
     # wootters keeps one table row per pair, ~0.7 kB each (~35 MB at the cap);
     # the rest stays flat, as the optimizer runs pairs x restarts in passes
-    # (budget 10: 1.52 and 1.74 MB traced at 100 and 400 pairs, n = 2; 2.42
-    # and 2.47 MB at 20 and 80, n = 8)
+    # (budget 10: 1.48 and 1.51 MB traced at 100 and 400 pairs, n = 2; 1.35
+    # and 1.52 MB at 20 and 80, n = 8)
     "pairs": 50_000,
     # the optimizer runs restarts in passes of transforms._PASS_BYTES of their
-    # largest arrays (546 restarts at n = 2, 136 at n = 8, 2 at n = 64), so
-    # memory stays flat (1.56 and 1.64 MB traced at 1000 and 4000 restarts of
-    # one pair, n = 2; 1.05 and 1.67 MB at 100 and 400, n = 8); the cap bounds
-    # the time, ~13-20 s for one n = 2 pair at ~0.13-0.2 ms per restart and
-    # ~21-25 h for one n = 64 pair at ~0.75-0.9 s per restart
+    # largest arrays (437 restarts at n = 2, 109 at n = 8, 2 at n = 64), so
+    # memory stays flat (1.48 and 1.43 MB traced at 1000 and 4000 restarts of
+    # one pair, n = 2; 1.22 and 1.51 MB at 100 and 400, n = 8); the cap bounds
+    # the time, ~6-15 s for one n = 2 pair at ~0.06-0.15 ms per restart and
+    # ~3-14 h for one n = 64 pair at ~0.1-0.5 s per restart (kicks included)
     "budget": 100_000,
     # correspondence takes draws in passes of at most 8 (1.7 MB traced at
     # n = 8 for 1000 and 4000 draws; 29.2 MB at n = 64 for 40 and 160, nearly
@@ -822,8 +824,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process: a build takes ~1 ms, a parse of
+    # a built parser ~30 us
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    opts = vars(build_parser().parse_args(argv))
+    opts = vars(_parser().parse_args(argv))
     overrides = dict(opts.pop("tol_override", []))
     cfg = RunConfig(**opts, tol_overrides=overrides)
     runner = run_all if cfg.command == "all" else _RUNNERS[cfg.command]

@@ -15,20 +15,19 @@ measurements.
 
 The maximizer minimizes the overlap sum_i |x_i| |y_i| of x = W u, y = W v,
 which falls as d_S grows; only the reported maximum becomes an angle.  Each
-of its restarts starts from a uniform random point of a surjective chart of
-U(n), U = D M with D a diagonal of output phases and M = G_1 ... G_m a
-QR-style ladder of complex plane rotations (unitary_from_params), and is
-Riemannian steepest descent on U(n) with an Armijo step (Abrudan, Eriksson &
-Koivunen 2008, IEEE TSP 56(3):1134); see _descend.  It scores W by the
-overlap less 1, computed as -sum_i (|x_i| - |y_i|)^2 / 2, which keeps its
-relative precision as the states close (see _overlap).  The overlap has a
-kink wherever an output modulus is 0, and a descent can stall at or near
-one, short of the angle; near-orthogonal pairs, whose minimum sits at the
-kinks, often stall.  A stalled descent continues through the smoothed
-overlaps sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2), eps = 1e-2, 1e-5, 1e-8, and
-descends again.  If it is still stalled, the restart kicks W by a Haar
-unitary drawn from its own substream (K W is Haar whatever W is, so the
-kick is a fresh start) and starts over, keeping the lower overlap.
+of its restarts starts from a Haar-random W, drawn as its images of u and v
+(transforms._haar_images, see below), and is Riemannian steepest descent on
+U(n) with an Armijo step (Abrudan, Eriksson & Koivunen 2008, IEEE TSP
+56(3):1134); see _descend.  It scores W by the overlap less 1, computed as
+-sum_i (|x_i| - |y_i|)^2 / 2, which keeps its relative precision as the
+states close (see _overlap).  The overlap has a kink wherever an output
+modulus is 0, and a descent can stall at or near one, short of the angle;
+near-orthogonal pairs, whose minimum sits at the kinks, often stall.  A
+stalled descent continues through the smoothed overlaps
+sum_i sqrt(|x_i|^2 |y_i|^2 + eps^2), eps = 1e-2, 1e-5, 1e-8, and descends
+again.  If it is still stalled, the restart is kicked: it starts over from
+the next Haar draw of its own substream (K W is Haar whatever W is, so a
+kick is a fresh start), keeping the lower overlap.
 
 The gradient depends on the outputs x, y alone, so a restart moves them and
 never forms W; the reported measurement is built from its final outputs
@@ -39,9 +38,11 @@ does not depend on the stack it runs in.  maximize_statistical_distance is a
 stack of one pair.
 
 A Haar-sampling certifier provides an independent stochastic lower envelope
-of the same supremum: the largest d_S over its Haar draws, each drawn in
-O(n) as the images x = W a, d = W (b' - a) of _distance_after
-(transforms._haar_images).
+of the same supremum: the largest d_S over its Haar draws.  The starts, the
+kicks and the certifier's draws are all one sampler, each drawn in O(n) as
+the images of two vectors under a Haar W, from the Haar columns of an n x 2
+complex Gaussian (transforms._haar_images): [a b] for a start or a kick,
+x = W a and d = W (b' - a) of _distance_after for the certifier.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import DimensionMismatch, ValidationError
 from .measurement import Measurement
 from .simplex import _angle_between, _integer, _row_dots, _vector
 from .statespace import ComplexState
-from .transforms import _gaussian, _haar_from_gaussian, _haar_images, _per_pass
+from .transforms import _haar_from_gaussian, _haar_images, _per_pass
 
 # The descent (see _descend).  Over 1800 first descents (n = 2, 3, 4 and 8;
 # 45 pairs each, 10 restarts), 256 of the 257 that stopped 1e-13 or more
@@ -359,24 +360,30 @@ def _continued(xy: np.ndarray):
     return xy, val, stalled, evaluations
 
 
-def _restart(xy: np.ndarray, kicks) -> tuple[np.ndarray, np.ndarray]:
-    # One restart per row pair (W a, W b) of the stack xy: _continued from
-    # it.  While an element's lowest overlap so far is stalled, its outputs
-    # are kicked by the element's next Haar unitary K (kicks(elements) gives
-    # a stack of its columns; K W is a fresh Haar start) and the descent and
-    # continuation start over from them, up to _KICKS times.  Returns the
+def _restart(ab: np.ndarray, gauss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One restart per row pair [a b] of the stack ab, from its (1 + _KICKS,
+    # 2, n, 2) Gaussians gauss (per draw the real, then the imaginary parts
+    # of an n x 2 complex Gaussian): attempt j runs _continued from the
+    # images of [a b] under draw j's Haar columns, and an element makes
+    # attempt j + 1 only while its lowest overlap so far is stalled (a kick:
+    # K W is Haar whatever W is, so it is a fresh Haar start).  Returns the
     # lowest overlap's outputs and the evaluations of all descents.
-    best, best_val, best_stalled, evaluations = _continued(xy)
-    todo = np.flatnonzero(best_stalled)
-    for _ in range(_KICKS):
-        if not todo.size:
-            break
-        xy, val, stalled, count = _continued(_haar_images(best[todo], kicks(todo)))
+    best, best_val = np.empty_like(ab), np.full(len(ab), np.inf)
+    best_stalled = np.ones(len(ab), dtype=bool)
+    evaluations = np.zeros(len(ab), dtype=np.int64)
+    todo = np.arange(len(ab))
+    for j in range(1 + _KICKS):
+        z = gauss[todo, j]
+        xy, val, stalled, count = _continued(
+            _haar_images(ab[todo], _haar_from_gaussian(z[:, 0] + 1j * z[:, 1]))
+        )
         evaluations[todo] += count
         better = val < best_val[todo]
         up = todo[better]
         best[up], best_val[up], best_stalled[up] = xy[better], val[better], stalled[better]
         todo = todo[best_stalled[todo]]
+        if not todo.size:
+            break
     return best, evaluations
 
 
@@ -421,10 +428,11 @@ def _maximize_pairs(pairs, budget: int):
     passes of transforms._per_pass restarts, and each pair's result is
     yielded once its last restart has finished, so memory stays flat in the
     number of pairs and in budget.  A restart's largest arrays are its
-    n x n ones (its start, the eigenvectors of a step, its measurement) and
-    its line-search trials.  Restart k of a pair starts from a uniform
-    random chart point drawn from substream k of its seed, and its kicks
-    come from the same substream, whose PCG64 state it holds between draws.
+    n x n ones (the eigenvectors of a step, its measurement), its
+    line-search trials and its Gaussians.  Restart k of a pair draws
+    1 + _KICKS n x 2 complex Gaussians from substream k of its seed, each
+    the real, then the imaginary parts, as the certifier's draws: the Haar
+    columns of its start and of each kick (see _restart).
     """
     pairs = iter(pairs)
     first = next(pairs, None)
@@ -432,33 +440,20 @@ def _maximize_pairs(pairs, budget: int):
         return
     n = first[0].n
     pending: deque[_Pair] = deque()
-    rng = np.random.Generator(np.random.PCG64(0))
 
     def restarts():
         for u, v, seed in itertools.chain([first], pairs):
             pair = _Pair(np.stack((u.v, v.v)), budget)
             pending.append(pair)
             for stream in substreams(seed, range(budget)):
-                start = stream.uniform(0.0, 2.0 * math.pi, size=n_parameters(n))
-                yield pair, unitary_from_params(start, n), stream.bit_generator.state
-
-    def kicks(elements):
-        # each element's next Haar kick's columns, from its substream's state,
-        # saved in the current chunk's states
-        z = np.empty((len(elements), n, 2), dtype=complex)
-        for row, k in enumerate(elements):
-            rng.bit_generator.state = states[k]
-            z[row] = _gaussian(rng, (n, 2), complex_=True)
-            states[k] = rng.bit_generator.state
-        return _haar_from_gaussian(z)
+                yield pair, stream.standard_normal((1 + _KICKS, 2, n, 2))
 
     elements = restarts()
-    per_pass = _per_pass(16 * n * max(n, 2 * _TRIALS))
+    per_pass = _per_pass(16 * n * max(n, 2 * _TRIALS, 2 * (1 + _KICKS)))
     while chunk := list(itertools.islice(elements, per_pass)):
-        owners, starts, states = zip(*chunk)
-        states = list(states)
+        owners, gauss = zip(*chunk)
         ab = np.stack([pair.ab for pair in owners])
-        found, evaluations = _restart(ab @ np.stack(starts).swapaxes(1, 2), kicks)
+        found, evaluations = _restart(ab, np.stack(gauss))
         ws = _measurements(ab, found)
         # rank by the distance w achieves, which max_ds reports; ties go to
         # the lowest restart
@@ -481,11 +476,12 @@ def maximize_statistical_distance(
     """Search for the measurement maximizing the statistical distance.
 
     budget counts independent random restarts; restart k starts from a
-    uniform random chart point drawn from substream k of seed, so at a fixed
+    Haar-random measurement drawn from substream k of seed, so at a fixed
     seed the result is deterministic and never degrades as budget grows.
     A restart is Riemannian steepest descent on U(n); a stalled descent
-    continues through smoothed overlaps and, if still stalled, is kicked by
-    a Haar unitary from the same substream (see the module docstring).
+    continues through smoothed overlaps and, if still stalled, starts over
+    from the next Haar draw of the same substream (see the module
+    docstring).
     max_ds is the distance achieved by argmax_measurement.  evaluations
     counts the overlaps scored by all restarts: the start of every descent
     (kicked and smoothed ones included) and every line-search trial.

@@ -61,7 +61,7 @@ from infogeo.cli import (
     run_correspondence,
     run_wootters,
 )
-from infogeo import distmax, simplex, statespace, transforms
+from infogeo import cli, distmax, simplex, statespace, transforms
 from infogeo._streams import streams
 from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
 from infogeo.reporting import Report, array_from_json, array_to_json
@@ -413,6 +413,27 @@ def test_state_commands_end_in_an_exit_code(command, n, pairs, draws, budget, se
 def test_parser_leaves_defaults_to_run_config():
     args = build_parser().parse_args(["born-check"])
     assert vars(args) == {"command": "born-check"}
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # main reuses one parser per process, and a call leaves nothing in it
+    # for the next: one call's --tol-override is not read by the next
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argv = ["coin-distinguish", "--trials", "0"]
+        run([*argv, "--tol-override", "worked_point_exact_gain=0.5"], capsys)
+        code, out, _ = run(argv, capsys)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert code == 0 and json.loads(out)["config"]["tol_overrides"] == {}
 
 
 # ---------------------------------------------------------------------------

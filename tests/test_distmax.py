@@ -7,6 +7,7 @@ from infogeo import (
     ComplexState,
     DimensionMismatch,
     Measurement,
+    ProbDist,
     ValidationError,
     certify_upper_bound,
     hilbert_distance,
@@ -18,6 +19,8 @@ from infogeo import (
     unitary_from_params,
 )
 from infogeo import distmax, transforms
+from infogeo._streams import substreams
+from infogeo.cli import RunConfig, run_wootters
 from infogeo.distmax import _distance_after, _maximize_pairs, n_parameters
 from conftest import decimal_ray_angle, haar_columns_distance
 
@@ -326,7 +329,7 @@ def test_descent_counts_every_evaluation(n, smoothing, monkeypatch):
     # which scores a stack of output pairs at once: the starts of descents,
     # the line-search trials, the smoothed continuation of stalled descents
     # and the descents from kicked starts
-    overlap, haar = distmax._overlap, distmax._haar_from_gaussian
+    overlap, restart, continued = distmax._overlap, distmax._restart, distmax._continued
     calls = {"overlap": 0, "smoothed": 0, "kicks": 0}
 
     def counted_overlap(xy, eps=0.0):
@@ -335,12 +338,18 @@ def test_descent_counts_every_evaluation(n, smoothing, monkeypatch):
         calls["smoothed"] += eps > 0.0
         return scored
 
-    def counted_haar(z):
-        calls["kicks"] += len(z)
-        return haar(z)
+    # kicks: the descents begun, less each restart's first one
+    def counted_restart(ab, gauss):
+        calls["kicks"] -= len(ab)
+        return restart(ab, gauss)
+
+    def counted_continued(xy):
+        calls["kicks"] += len(xy)
+        return continued(xy)
 
     monkeypatch.setattr(distmax, "_overlap", counted_overlap)
-    monkeypatch.setattr(distmax, "_haar_from_gaussian", counted_haar)
+    monkeypatch.setattr(distmax, "_restart", counted_restart)
+    monkeypatch.setattr(distmax, "_continued", counted_continued)
     monkeypatch.setattr(distmax, "_SMOOTHING", smoothing)
     pairs = [_seeded_pair(n, seed) for seed in range(1000, 1005)]
     pairs.append(_near_orthogonal_pair(n, 48, 1e-3))
@@ -353,6 +362,36 @@ def test_descent_counts_every_evaluation(n, smoothing, monkeypatch):
     # without smoothing, stalled descents stay stalled and are kicked
     assert calls["kicks"] > 0 or smoothing
     assert total == calls["overlap"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_restart_starts_from_the_haar_columns_of_its_substream(n, monkeypatch):
+    # restart k's first descent starts from the images of [a b] under the
+    # Haar columns of substream k's first n x 2 draw (its real, then its
+    # imaginary parts): at the distance of the full Haar unitary those
+    # columns complete to, through the public objects, up to CERTIFY_TOL
+    # (fixed before measuring); no start goes through the chart
+    def no_chart(params, dim):
+        raise AssertionError("the search builds no chart start")
+
+    monkeypatch.setattr(distmax, "unitary_from_params", no_chart)
+    assert run_wootters(RunConfig("wootters", n=3, seed=7, pairs=2, budget=3, draws=50)).overall_passed
+    continued, starts = distmax._continued, []
+
+    def recorded(xy):
+        starts.append(xy.copy())
+        return continued(xy)
+
+    monkeypatch.setattr(distmax, "_continued", recorded)
+    u, v = _seeded_pair(n, 52)
+    budget, seed = 4, 11
+    maximize_statistical_distance(u, v, budget=budget, seed=seed)
+    assert len(starts[0]) == budget
+    vectors = np.stack((u.v, v.v))
+    for xy, stream in zip(starts[0], substreams(seed, range(budget))):
+        g = stream.standard_normal((2, n, 2))
+        start = statistical_distance(*(ProbDist(np.abs(row) ** 2) for row in xy))
+        assert abs(start - haar_columns_distance(g[0] + 1j * g[1], vectors, u, v)) <= CERTIFY_TOL
 
 
 @pytest.mark.parametrize("offset", [1e-2, 1e-4, 0.0])
@@ -372,7 +411,7 @@ def test_stacked_pairs_match_the_public_maximizer_in_any_chunk(n, budget, smooth
     # public call (a stack of one pair) gives, bit for bit, with the
     # restarts in chunks of 1, of 7 (a pair's restarts straddle chunks) and
     # all in one; unsmoothed, stalled descents are kicked from each
-    # restart's saved substream
+    # restart's own Gaussians
     monkeypatch.setattr(distmax, "_SMOOTHING", smoothing)
     pairs = [(*_seeded_pair(n, seed), seed) for seed in range(1000, 1004)]
     pairs.append((*_near_orthogonal_pair(n, 48, 1e-3), 5))
