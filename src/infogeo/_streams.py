@@ -1,14 +1,13 @@
-"""Seeded streams, with the seeding done for a block of seeds at once.
+"""Indexed substreams of a seed, with the seeding done for a block of keys
+at once.
 
-Two entry points give one seeding body (`_seeded`) their entropy words:
+`substreams(seed, keys)` yields substream k of a seed for each key k, the
+stream of PCG64(SeedSequence(seed, spawn_key=(k,))).  That is NumPy's
+`SeedSequence(seed).spawn(m)[k]` for any m > k, the package's one definition
+of an indexed substream: the Monte Carlo trials and the optimizer's restarts
+draw from it.
 
-- `substreams(seed, keys)`: substream k of a seed, the stream of
-  PCG64(SeedSequence(seed, spawn_key=(k,))).  That is NumPy's
-  `SeedSequence(seed).spawn(m)[k]` for any m > k, the package's one
-  definition of an indexed substream.
-- `streams(seeds)`: the stream of `np.random.default_rng(s)` for each seed s.
-
-Building a SeedSequence, a PCG64 and a Generator per seed costs ~16-20 us
+Building a SeedSequence, a PCG64 and a Generator per key costs ~16-20 us
 (NumPy 2.4, x86-64), almost all of it in the seeding.  Both seeding steps are
 fixed integer arithmetic, so they run here for a block of values at once:
 
@@ -18,12 +17,12 @@ fixed integer arithmetic, so they run here for a block of values at once:
   uint64 arithmetic: a 128-bit value as two words with explicit carries,
   the 64 x 64 -> 128-bit high product on 32-bit limbs (`_set_seed`).
 
-Per seed, the four state words are then written straight into the one
+Per key, the four state words are then written straight into the one
 reused Generator's PCG64, through NumPy's public
 BitGenerator.ctypes.state_address, with has_uint32 and uinteger cleared as
 NumPy's state setter clears them.  The word order in that struct depends on
 the build, so a layout probe (`_State`) sets one known state through the
-setter and reads it back before the first write.  A seed then costs ~0.65 us
+setter and reads it back before the first write.  A key then costs ~0.65 us
 (30,000 substreams, no draws, same host), where the setter alone took
 ~1.35 us and the whole seed ~2.0 us.
 
@@ -208,20 +207,8 @@ def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
     seed = _seed_int(np.random.SeedSequence().entropy if seed is None else seed)
     # a spawned SeedSequence pads its run entropy to the pool size, then
     # appends the words of its key
-    run = [(seed >> 32 * j) & _MASK32 for j in range(max(_POOL_SIZE, _word_count(seed)))]
-    return _seeded(run, keys)
-
-
-def streams(seeds) -> Iterator[np.random.Generator]:
-    """Yield a Generator in the state of np.random.default_rng(s) for each
-    seed s of seeds, in order.
-
-    The seeds are nonnegative ints (NumPy integers too); each raises as
-    SeedSequence does, when its block is reached.  One Generator is reset
-    for every seed, as in substreams.
-    """
-    # a seed without a spawn key is its words zero-padded to the pool size
-    return _seeded([], map(_seed_int, seeds))
+    seed_words = [(seed >> 32 * j) & _MASK32 for j in range(max(_POOL_SIZE, _word_count(seed)))]
+    return _seeded(seed_words, keys)
 
 
 def _word_count(value: int) -> int:
@@ -229,32 +216,32 @@ def _word_count(value: int) -> int:
     return ((value | 1).bit_length() + 31) >> 5
 
 
-def _seeded(prefix: list[int], values) -> Iterator[np.random.Generator]:
-    """Yield one Generator reset, for each value in turn, to the SeedSequence
-    state of entropy words prefix + the value's words, zero-padded to the
-    pool size; values go in blocks of _BLOCK, cut into runs of one width."""
+def _seeded(seed_words: list[int], keys: range) -> Iterator[np.random.Generator]:
+    """Yield one Generator reset, for each key in turn, to the SeedSequence
+    state of entropy words seed_words + the key's words; keys go in blocks
+    of _BLOCK, cut into runs of one width."""
     state = _State()
-    values = iter(values)
-    while block := list(itertools.islice(values, _BLOCK)):
-        # the word count grows with the value, so a block whose smallest and
-        # largest values share it is one run
+    keys = iter(keys)
+    while block := list(itertools.islice(keys, _BLOCK)):
+        # the word count grows with the key, so a block whose smallest and
+        # largest keys share it is one run
         if _word_count(min(block)) == _word_count(max(block)):
             runs = [block]
         else:
             runs = [list(run) for _, run in itertools.groupby(block, _word_count)]
         # the Python ints go before the block's streams are handed out
-        words = [_run_words(prefix, run) for run in runs]
+        words = [_run_words(seed_words, run) for run in runs]
         del block, runs
         for run_words in words:
             yield from state.reset(run_words)
 
 
-def _run_words(prefix: list[int], run: list[int]) -> np.ndarray:
-    # generate_state words of a run of values of one word count, the
-    # entropy built one word row at a time
-    width = max(_word_count(run[0]), _POOL_SIZE - len(prefix))
-    entropy = np.empty((len(prefix) + width, len(run)), dtype=np.uint32)
-    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+def _run_words(seed_words: list[int], run: list[int]) -> np.ndarray:
+    # generate_state words of a run of keys of one word count, the entropy
+    # built one word row at a time
+    width, rows = _word_count(run[0]), len(seed_words)
+    entropy = np.empty((rows + width, len(run)), dtype=np.uint32)
+    entropy[:rows] = np.array(seed_words, dtype=np.uint32)[:, None]
     for j in range(width):
-        entropy[len(prefix) + j] = [(v >> 32 * j) & _MASK32 for v in run]
+        entropy[rows + j] = [(k >> 32 * j) & _MASK32 for k in run]
     return _seed_words(entropy)

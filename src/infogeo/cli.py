@@ -5,7 +5,11 @@ wootters, all.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or configuration error.  Reports for identical configurations are
 byte-identical apart from the duration field.  The batteries run their
 random objects as stacks through the library's row and stack kernels, with
-the values, checks and exception types of one public call per object.
+the values, checks and exception types of one public call per object.  The
+correspondence battery draws each kind of object (maps, states, probe
+states, probe shifts) from its own stream, spawned from the seed, so a
+stack's block of draws is that kind's public calls in turn, at any pass
+size.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bayes, distmax, measurement, simplex, statespace, transforms
-from ._streams import streams, substreams
 from .errors import InfoGeoError, NotOrthogonal, NotUnitary, ValidationError
 from .reporting import Report, array_to_json, format_float, render_report
 
@@ -31,7 +34,7 @@ from .reporting import Report, array_to_json, format_float, render_report
 # per-unit peaks were measured with tracemalloc (NumPy 2.4, x86-64) at 2000-
 # 20000 tangents or trials and 200 pairs, and scaled linearly.
 SIZE_CAPS = {
-    # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2): 29.2 MB
+    # correspondence keeps 200 maps of (2n)^2 floats (~7 kB * n^2): 28.4 MB
     # traced at 64; wootters peaks at 0.93 MB traced at 64 (one pair, budget
     # 1), most of it the certifier's or the envelope's passes (0.70, 0.56 MB
     # alone)
@@ -53,14 +56,15 @@ SIZE_CAPS = {
     # the time, ~6-15 s for one n = 2 pair at ~0.06-0.15 ms per restart and
     # ~3-14 h for one n = 64 pair at ~0.1-0.5 s per restart (kicks included)
     "budget": 100_000,
-    # correspondence takes draws in passes of at most 8 (1.7 MB traced at
-    # n = 8 for 1000 and 4000 draws; 29.2 MB at n = 64 for 40 and 160, nearly
+    # correspondence takes draws in passes of at most 8 (0.99 MB traced at
+    # n = 8 for 1000 and 4000 draws; 28.4 MB at n = 64 for 40 and 160, nearly
     # all of it the constructed maps) and wootters' envelope in passes of
     # transforms._PASS_BYTES of Gaussians (0.79 MB traced at n = 8 for 2000
     # and 5000 draws, 0.77 MB at n = 64 for 80, 1000 and 5000), so memory
-    # stays flat; the cap bounds the time, ~5 min at ~0.32 ms per
-    # correspondence draw (~2.3 ms at n = 64) and ~5-6 s at ~5-6 us per
-    # envelope draw at n = 8 (~20-23 s at ~20-23 us, n = 64)
+    # stays flat; the cap bounds the time, ~40-45 s at ~0.04 ms per
+    # correspondence draw at n = 2 (~1 h at ~3.6-3.9 ms, n = 64) and
+    # ~5-6 s at ~5-6 us per envelope draw at n = 8 (~20-23 s at ~20-23 us,
+    # n = 64)
     "draws": 1_000_000,
 }
 
@@ -123,8 +127,11 @@ class RunConfig:
             raise ValidationError("--n must be at least 2")
         if self.seed is not None and self.seed < 0:
             raise ValidationError("--seed must be nonnegative")
-        if self.trials < 0 or self.shots < 0:
-            raise ValidationError("--trials and --shots must be nonnegative")
+        if self.trials < 0:
+            raise ValidationError("--trials must be nonnegative")
+        if self.shots < 1:
+            # born-check's count rows would pass over no samples
+            raise ValidationError("--shots must be positive")
         if self.trials == 1:
             # one trial has no standard error, so the Monte Carlo check's
             # 3-stderr tolerance would be 0
@@ -380,81 +387,75 @@ def run_metric_check(cfg: RunConfig) -> Report:
     return report
 
 
-# items whose seeds are drawn, and seeded by _streams, together
-_SEED_GROUP = 256
 # the kind of each branch of the constructed maps, beta 0 and 1
 _BRANCHES = (transforms.TransformKind.TYPE1, transforms.TransformKind.TYPE2)
 
 
-def _passes(rng: np.random.Generator, count: int, columns: int, dim: int):
-    """Split count items, each seeded by `columns` rng.integers(2**62) draws
-    in draw order, into transforms._per_pass passes of the probe's
-    (maps, dim, states, shifts + 1) floats.
-
-    Yield each pass's start and size, and per column an iterator of
-    np.random.default_rng(seed) Generators that the pass draws its items
-    from.  Seeds are drawn for _SEED_GROUP items at a time.
-    """
+def _passes(count: int, dim: int):
+    """Start and size of each of the transforms._per_pass passes of the
+    probe's (maps, dim, states, shifts + 1) floats over count items."""
     per_pass = transforms._per_pass(
         transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8
     )
-    for group in range(0, count, _SEED_GROUP):
-        seeds = rng.integers(2**62, size=(min(_SEED_GROUP, count - group), columns))
-        gens = [streams(column) for column in seeds.T]
-        for start in range(0, len(seeds), per_pass):
-            yield group + start, min(per_pass, len(seeds) - start), gens
+    for start in range(0, count, per_pass):
+        yield start, min(per_pass, count - start)
 
 
-def _haar_kinds(gens, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """transforms._haar_seeded's maps and classify's kind of each, with one
-    orthogonality check for the stack."""
-    ms = transforms._haar_seeded(gens, count, dim)
+def _haar_kinds(rng: np.random.Generator, count: int, dim: int):
+    """count random_orthogonal(dim, rng) maps in turn, as one stack, and
+    classify's kind of each, with one orthogonality check for the stack."""
+    ms = transforms._haar(rng, dim, (count,))
     transforms._require_isometries(ms, NotOrthogonal, "m.T @ m of a Haar draw")
     return ms, transforms._commutation(ms)[0]
 
 
-def _haar_draws(rng: np.random.Generator, draws: int, dim: int):
+def _haar_draws(per_kind, draws: int, dim: int):
     """The correspondence battery's Haar draws: per draw a random_orthogonal
     map, classified and probed, and two random_real_state states whose
-    distance it must keep, each seeded by rng.integers(2**62) in that order.
+    distance it must keep.  Each object is the next of its kind: per_kind
+    holds a Generator for maps, states, probe states and probe shifts.
     Returns the number of Neither maps and of maps failing the probe, the
     first failing draw's witness (None if none fails), and the largest
     change of a state distance."""
+    maps, states, probe_states, probe_shifts = per_kind
     neither_hits = probe_failures = 0
     first_witness = None
     metric_dev = 0.0
-    # each draw's seeds in draw order: its map, its probe, two states
-    for start, count, gens in _passes(rng, draws, 4, dim):
-        ms, kinds = _haar_kinds(gens[0], count, dim)
+    for start, count in _passes(draws, dim):
+        ms, kinds = _haar_kinds(maps, count, dim)
         neither_hits += int(np.count_nonzero(kinds == transforms.TransformKind.NEITHER))
-        passed, worst, witness_states, witness_shifts = transforms._probe_seeded(ms, gens[1])
+        qs = transforms._probe_states(probe_states, (count, transforms.PROBE_STATES), dim)
+        chi0s = transforms._probe_shifts(probe_shifts, (count, transforms.PROBE_SHIFTS))
+        passed, worst, i, j = transforms._probe_stack(ms, qs, chi0s, statespace.DEFAULT_GAUGE)
         probe_failures += int(np.count_nonzero(~passed))
         if first_witness is None and not passed.all():
             k = int(np.argmin(passed))
             first_witness = {
                 "draw_index": start + k,
                 "matrix": array_to_json(ms[k]),
-                "witness_state": array_to_json(witness_states[k]),
-                "witness_shift": float(witness_shifts[k]),
+                "witness_state": array_to_json(qs[k, i[k]]),
+                "witness_shift": float(chi0s[k, j[k]]),
                 "deviation": float(worst[k]),
             }
-        qa, qb = (statespace._real_states_seeded(gens[k], count, dim) for k in (2, 3))
-        # m @ qa - m @ qb and qa - qb, as (draws, dim, 1) stacks
-        d_img = np.matmul(ms, qa[..., None]) - np.matmul(ms, qb[..., None])
-        d_q = (qa - qb)[..., None]
+        # each draw's two states, its images m @ q as (draws, 2, dim, 1)
+        q = statespace._real_states(states, 2 * count, dim).reshape(count, 2, dim)
+        images = np.matmul(ms[:, None], q[..., None])
+        d_img, d_q = images[:, 0] - images[:, 1], (q[:, 0] - q[:, 1])[..., None]
         metric_dev = max(metric_dev, float(np.abs(
             transforms._frobenius(d_img) - transforms._frobenius(d_q)
         ).max()))
     return neither_hits, probe_failures, first_witness, metric_dev
 
 
-def _check_constructed(report: Report, rng: np.random.Generator, n: int, constructed: int):
+def _check_constructed(report: Report, per_kind, n: int, constructed: int):
     """The correspondence battery's constructed maps: per map a random_unitary
     u on n amplitudes, its Type1 and Type2 maps, classified, converted back
     and probed, and two random_real_state states they must carry as u and
-    its antiunitary do, each seeded by rng.integers(2**62) in that order,
-    as stacks per pass.  Appends the rows to report and returns the Type1
-    and Type2 maps."""
+    its antiunitary do, as stacks per pass.  Each object is the next of its
+    kind, as in _haar_draws; a map's Type1 probe comes before its Type2
+    probe.  Appends the rows to report and returns the Type1 and Type2
+    maps."""
+    maps_rng, states, probe_states, probe_shifts = per_kind
     dim = 2 * n
     maps = np.empty((2, constructed, dim, dim))
     hits = [0, 0]
@@ -464,10 +465,12 @@ def _check_constructed(report: Report, rng: np.random.Generator, n: int, constru
     def note(name, values):
         worst[name] = max(worst[name], float(np.max(values, initial=0.0)))
 
-    # each map's seeds in draw order: its unitary, two states, two probes
-    for start, count, gens in _passes(rng, constructed, 5, dim):
-        us = transforms._haar_seeded(gens[0], count, n, complex_=True)
-        qs = np.stack([statespace._real_states_seeded(gens[k], count, dim) for k in (1, 2)])
+    for start, count in _passes(constructed, dim):
+        us = transforms._haar(maps_rng, n, (count,), complex_=True)
+        # (map, state) stacks: two states and a probe per branch for each map
+        qs = statespace._real_states(states, 2 * count, dim).reshape(count, 2, dim)
+        probe_qs = transforms._probe_states(probe_states, (count, 2, transforms.PROBE_STATES), dim)
+        probe_chi0s = transforms._probe_shifts(probe_shifts, (count, 2, transforms.PROBE_SHIFTS))
         transforms._require_isometries(us, NotUnitary, "u^dagger @ u")
         ms = maps[:, start : start + count]
         for beta, kind in enumerate(_BRANCHES):
@@ -485,16 +488,18 @@ def _check_constructed(report: Report, rng: np.random.Generator, n: int, constru
             if beta == 0:
                 note("unitarity", defects)
                 note("roundtrip", transforms._frobenius(back - us[is_kind]))
-            note(f"probe{beta}", transforms._probe_seeded(ms[beta], gens[3 + beta])[1])
+            note(f"probe{beta}", transforms._probe_stack(
+                ms[beta], probe_qs[:, beta], probe_chi0s[:, beta], statespace.DEFAULT_GAUGE
+            )[1])
         identity_distance = min(
             identity_distance, float(transforms._frobenius(ms[1] - np.eye(dim)).min())
         )
-        # the (branch, state, map) images m @ q, checked as RealState checks
+        # the (branch, map, state) images m @ q, checked as RealState checks
         # them, against u @ v and u @ conj(v), v the state's amplitudes
-        images = np.matmul(ms[:, None], qs[..., None])[..., 0]
+        images = np.matmul(ms[:, :, None], qs[..., None])[..., 0]
         statespace._check_unit_rows(images)
         v = qs[..., 0::2] + 1j * qs[..., 1::2]
-        carried = np.matmul(us, np.stack((v, v.conj()))[..., None])
+        carried = np.matmul(us[:, None], np.stack((v, v.conj()))[..., None])
         images = (images[..., 0::2] + 1j * images[..., 1::2])[..., None]
         note("equivariance", transforms._frobenius(images - carried))
 
@@ -532,15 +537,17 @@ def run_correspondence(cfg: RunConfig) -> Report:
     report = Report("correspondence", cfg.echo())
     n = cfg.n
     dim = 2 * n
-    rng = next(substreams(cfg.seed, range(1)))
+    # the battery's own stream (the closure picks and u_mix), then one per
+    # kind of random object: maps, states, probe states, probe shifts
+    rng, *per_kind = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(5))
 
     constructed = 100
-    maps = _check_constructed(report, rng, n, constructed)
+    maps = _check_constructed(report, per_kind, n, constructed)
     report.within("closure_sign_rule_violations", float(_closure_violations(rng, maps)), 0.0, 0.0)
 
     # flip beta on block (0, 0) only; sign-flipping part of one column breaks
     # orthogonality for any dense unitary
-    u_mix = transforms.random_unitary(n, rng.integers(2**62))
+    u_mix = transforms.random_unitary(n, rng)
     mixed = transforms.from_unitary(u_mix)
     mixed[0, 1] = u_mix[0, 0].imag
     mixed[1, 1] = -u_mix[0, 0].real
@@ -551,15 +558,13 @@ def run_correspondence(cfg: RunConfig) -> Report:
         mixed_rejected = 1.0
     report.within("mixed_beta_rejected", mixed_rejected, 1.0, 0.0)
 
-    neither_hits, probe_failures, first_witness, metric_dev = _haar_draws(rng, cfg.draws, dim)
+    neither_hits, probe_failures, first_witness, metric_dev = _haar_draws(per_kind, cfg.draws, dim)
     report.within("haar_neither_fraction", neither_hits / cfg.draws, 1.0, 0.0)
     report.within("haar_probe_failure_fraction", probe_failures / cfg.draws, 1.0, 0.0)
     report.le("metric_invariance_max_dev", metric_dev, 1e-12)
 
-    small = np.count_nonzero(
-        _haar_kinds(streams(rng.integers(2**62, size=64)), 64, 2)[1]
-        != transforms.TransformKind.NEITHER
-    )
+    kinds = _haar_kinds(per_kind[0], 64, 2)[1]
+    small = np.count_nonzero(kinds != transforms.TransformKind.NEITHER)
     report.within("two_by_two_all_classified", small / 64.0, 1.0, 0.0)
     report.notes.append(
         "2x2 maps are degenerate: every orthogonal map on a single outcome pair "

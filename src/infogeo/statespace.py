@@ -349,13 +349,15 @@ def _draw_direction(rng: np.random.Generator, row: np.ndarray) -> None:
             return
 
 
-def _real_states_seeded(gens, count: int, dim: int) -> np.ndarray:
-    """random_real_state(dim, s).q for count seeds s, gens yielding a
-    Generator in the state of np.random.default_rng(s) per seed, scaled and
-    checked in one pass."""
-    q = np.empty((count, dim))
-    for row, g in zip(q, gens):
-        _draw_direction(g, row)
-    q = _unit_rows(q)
+def _real_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """random_real_state(dim, rng).q of count calls in turn, as one (count,
+    dim) stack from one block of draws, scaled and checked in one pass."""
+    z = rng.standard_normal((count, dim))
+    # a call draws again while its draw's norm is at most 1e-8 (odds ~1e-33
+    # at dim 4): the rows after such a row move up and one more is drawn
+    while (rejected := np.flatnonzero(_norms(z) <= 1e-8)).size:
+        z[rejected[0] : -1] = z[rejected[0] + 1 :]
+        z[-1] = rng.standard_normal(dim)
+    q = _unit_rows(z)
     _check_unit_rows(q)
     return q

@@ -261,7 +261,7 @@ def gauge_invariance_probe(
         n_states = _integer(n_states, "n_states")
         if n_states < 1:
             raise ValidationError("n_states must be positive")
-        qs = _probe_states(rng, n_states, dim)
+        qs = _probe_states(rng, (n_states,), dim)
     else:
         qs = [state.q for state in states]
         if not qs:
@@ -290,16 +290,17 @@ def gauge_invariance_probe(
     )
 
 
-def _probe_states(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
-    # the probe's default states: rows of standard normals scaled to unit norm
-    qs = rng.standard_normal((n_states, dim))
-    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+def _probe_states(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
+    # the probe's default states: rows of standard normals scaled to unit
+    # norm, a (*shape, dim) stack of them being that many calls' rows in turn
+    qs = rng.standard_normal((*shape, dim))
+    qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
     return qs
 
 
-def _probe_shifts(rng: np.random.Generator, n_shifts: int) -> np.ndarray:
+def _probe_shifts(rng: np.random.Generator, shape) -> np.ndarray:
     # the probe's default shifts, drawn after its default states
-    return rng.uniform(0.0, 2.0 * math.pi, size=n_shifts)
+    return rng.uniform(0.0, 2.0 * math.pi, size=shape)
 
 
 def _probe_stack(
@@ -338,34 +339,16 @@ def _probe_stack(
     return worst <= STRUCTURAL_TOL, worst, i, k
 
 
-def _probe_seeded(ms: np.ndarray, gens):
-    """gauge_invariance_probe(ms[k], seed=s) with its default samples for
-    each map of a stack, gens yielding a Generator in the state of
-    np.random.default_rng(s) per map, in one pass: per map whether it
-    passes, its worst deviation, and its witness state and shift."""
-    dim = ms.shape[-1]
-    qs = np.empty((len(ms), PROBE_STATES, dim))
-    chi0s = np.empty((len(ms), PROBE_SHIFTS))
-    for k, g in zip(range(len(ms)), gens):
-        qs[k] = _probe_states(g, PROBE_STATES, dim)
-        chi0s[k] = _probe_shifts(g, PROBE_SHIFTS)
-    passed, worst, i, j = _probe_stack(ms, qs, chi0s, DEFAULT_GAUGE)
-    maps = np.arange(len(ms))
-    return passed, worst, qs[maps, i], chi0s[maps, j]
-
-
 def _haar(rng: np.random.Generator, dim: int, batch: tuple = (), complex_=False) -> np.ndarray:
     """Haar-random orthogonal or unitary matrices of shape (*batch, dim, dim),
-    by _haar_from_gaussian of _gaussian draws."""
+    by _haar_from_gaussian of standard normals drawn matrix by matrix (a
+    unitary's real parts, then its imaginary parts): the stack of as many
+    random_orthogonal or random_unitary(dim, rng) calls in turn."""
     if _integer(dim, "dim") < 2:
         raise ValidationError("dim must be >= 2")
-    return _haar_from_gaussian(_gaussian(rng, (*batch, dim, dim), complex_))
-
-
-def _gaussian(rng: np.random.Generator, shape: tuple, complex_=False) -> np.ndarray:
-    # standard normals of shape; complex ones take every real part first
-    z = rng.standard_normal(shape)
-    return z + 1j * rng.standard_normal(shape) if complex_ else z
+    z = rng.standard_normal((*batch, 2 if complex_ else 1, dim, dim))
+    z = z[..., 0, :, :] + 1j * z[..., 1, :, :] if complex_ else z[..., 0, :, :]
+    return _haar_from_gaussian(z)
 
 
 # The byte budget of every array pass whose arrays grow with n: a pass takes
@@ -426,14 +409,3 @@ def random_orthogonal(dim: int, seed) -> np.ndarray:
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a complex standard-normal matrix."""
     return _haar(np.random.default_rng(seed), dim, complex_=True)
-
-
-def _haar_seeded(gens, count: int, dim: int, complex_=False) -> np.ndarray:
-    """random_orthogonal(dim, s) (random_unitary when complex_) for count
-    seeds s, gens yielding a Generator in the state of
-    np.random.default_rng(s) per seed, as one stack: _gaussian's draws per
-    seed (every real part, then every imaginary part), then one QR pass."""
-    z = np.empty((count, 2 if complex_ else 1, dim, dim))
-    for block, g in zip(z, gens):
-        g.standard_normal(out=block)
-    return _haar_from_gaussian(z[:, 0] + 1j * z[:, 1] if complex_ else z[:, 0])

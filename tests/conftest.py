@@ -54,6 +54,11 @@ def decimal_ray_angle(x, y, sqrt: bool = False) -> float:
     return 2.0 * math.asin(float(half))
 
 
+def complex_gaussian(rng, shape) -> np.ndarray:
+    # complex standard normals of shape, every real part drawn first
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_columns_distance(g, vectors, u, v) -> float:
     """statistical_distance after the Haar measurement that a draw of Haar
     columns defines, through the public objects.

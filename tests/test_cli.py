@@ -62,9 +62,8 @@ from infogeo.cli import (
     run_wootters,
 )
 from infogeo import cli, distmax, simplex, statespace, transforms
-from infogeo._streams import streams
 from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
-from infogeo.reporting import Report, array_from_json, array_to_json
+from infogeo.reporting import Report, array_from_json, array_to_json, render_report
 from conftest import haar_columns_distance
 
 # small, fast battery sizes, each command's slice holding the options it reads
@@ -149,6 +148,18 @@ def test_single_monte_carlo_trial_is_a_config_error(capsys):
     code, out, err = run(["coin-distinguish", "--seed", "7", "--trials", "1"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("config error: --trials must be 0 or at least 2")
+
+
+def test_zero_shots_is_a_config_error(capsys):
+    # born-check's count rows over zero samples would pass and show nothing
+    RunConfig("born-check", seed=1, shots=1).validate()
+    for shots in (0, -1):
+        with pytest.raises(ValidationError, match="--shots must be positive"):
+            RunConfig("born-check", seed=1, shots=shots).validate()
+    for command in ("born-check", "all"):
+        code, out, err = run([command, "--seed", "7", "--shots", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --shots must be positive")
 
 
 def test_seed_requirement():
@@ -596,13 +607,26 @@ def test_born_check_phase_term_sees_the_basis_phases(monkeypatch, capsys):
 
 
 def test_correspondence_runner_seeded_identically():
+    # the whole report: every row, the notes, the Haar counts and witness
     cfg = RunConfig("correspondence", seed=12, draws=10)
     cfg.validate()
     a = run_correspondence(cfg)
     b = run_correspondence(cfg)
-    assert [(c.name, c.value) for c in a.checks] == [
-        (c.name, c.value) for c in b.checks
-    ]
+    assert a.details["first_haar_witness"] and a.details["haar_counts"]["neither"] == 10
+    assert render_report(a, "json") == render_report(b, "json")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correspondence_report_does_not_depend_on_the_pass_size(n, monkeypatch):
+    # each kind of object comes from its own stream, so one map per pass
+    # draws the same objects as the default passes
+    cfg = RunConfig("correspondence", n=n, seed=5, draws=40)
+    reports = []
+    for pass_bytes in (transforms._PASS_BYTES, 1):
+        monkeypatch.setattr(transforms, "_PASS_BYTES", pass_bytes)
+        reports.append(render_report(run_correspondence(cfg), "json"))
+    assert transforms._per_pass(8) == 1
+    assert reports[0] == reports[1]
 
 
 def test_coin_distinguish_monte_carlo_details(capsys):
@@ -832,17 +856,38 @@ def test_worst_pullback_equals_per_tangent_reference(n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+class _ZeroNormals:
+    """A Generator whose standard normals at stream positions [start, stop)
+    read 0, however many each call draws."""
+
+    def __init__(self, seed, start, stop):
+        self._rng, self._drawn, self._zeros = np.random.default_rng(seed), 0, (start, stop)
+        self.bit_generator = self._rng.bit_generator
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        at = np.arange(self._drawn, self._drawn + z.size).reshape(z.shape)
+        z[(at >= self._zeros[0]) & (at < self._zeros[1])] = 0.0
+        self._drawn += z.size
+        return z
+
+
 @pytest.mark.parametrize("dim", [4, 6, 128])
 def test_real_states_seeded_equal_per_seed_reference(dim):
-    seeds = [0, 1, 2**40, 10**30, *range(5, 300)]
-    ref = [_direction_reference(np.random.default_rng(s), dim) for s in seeds]
-    # a longer generator of streams: only count of them are taken
-    got = statespace._real_states_seeded(streams([*seeds, 1]), len(seeds), dim)
-    assert got.tolist() == np.array(ref).tolist()
-    rng, ref_rng = _Draws(dim, "standard_normal", 0.0), _Draws(dim, "standard_normal", 0.0)
-    got = statespace._real_states_seeded(iter([rng]), 1, dim)
-    assert got.tolist() == [_direction_reference(ref_rng, dim).tolist()]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # per seed, one block of draws for count states is the public sampler's
+    # calls in turn on the same stream
+    for seed, count in ((0, 1), (2**40, 2), (10**30, 299)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = statespace._real_states(rng, count, dim)
+        assert got.tolist() == [random_real_state(dim, ref_rng).q.tolist() for _ in range(count)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a draw of norm 0, below 1e-8, first and inside a block: that call
+    # draws again, and the calls after it draw what follows
+    for row in (0, 3):
+        rng, ref_rng = (_ZeroNormals(5, row * dim, (row + 1) * dim) for _ in range(2))
+        got = statespace._real_states(rng, 6, dim)
+        assert got.tolist() == [_direction_reference(ref_rng, dim).tolist() for _ in range(6)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -965,15 +1010,34 @@ def _probe_pass(dim):
     return transforms._per_pass(transforms.PROBE_STATES * (transforms.PROBE_SHIFTS + 1) * dim * 8)
 
 
-def _per_draw_haar(rng, draws, dim):
-    """The Haar draws through the public functions, one draw at a time."""
+def _per_kind(seed):
+    # a Generator per kind of object: maps, states, probe states, probe shifts
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+
+
+def _states(gens):
+    return [g.bit_generator.state for g in gens]
+
+
+def _next_probe(m, probe_states, probe_shifts):
+    """gauge_invariance_probe of m with the next default samples of the
+    probe-state and probe-shift Generators."""
+    qs = transforms._probe_states(probe_states, (transforms.PROBE_STATES,), len(m))
+    chi0s = transforms._probe_shifts(probe_shifts, transforms.PROBE_SHIFTS)
+    return gauge_invariance_probe(m, states=[RealState(q) for q in qs], chi0s=chi0s)
+
+
+def _per_draw_haar(per_kind, draws, dim):
+    """The Haar draws through the public functions, one draw at a time, each
+    object the next of its kind."""
+    maps, states, probe_states, probe_shifts = per_kind
     neither = failures = 0
     witness = None
     metric_dev = 0.0
     for d in range(draws):
-        m = random_orthogonal(dim, rng.integers(2**62))
+        m = random_orthogonal(dim, maps)
         neither += classify(m).kind is TransformKind.NEITHER
-        probe = gauge_invariance_probe(m, seed=int(rng.integers(2**62)))
+        probe = _next_probe(m, probe_states, probe_shifts)
         failures += not probe.passed
         if witness is None and not probe.passed:
             witness = {
@@ -983,8 +1047,8 @@ def _per_draw_haar(rng, draws, dim):
                 "witness_shift": probe.witness_shift,
                 "deviation": probe.max_deviation,
             }
-        qa = random_real_state(dim, rng.integers(2**62)).q
-        qb = random_real_state(dim, rng.integers(2**62)).q
+        qa = random_real_state(dim, states).q
+        qb = random_real_state(dim, states).q
         metric_dev = max(
             metric_dev,
             abs(float(np.linalg.norm(m @ qa - m @ qb)) - float(np.linalg.norm(qa - qb))),
@@ -998,16 +1062,18 @@ def test_haar_draws_equal_per_draw_public_calls(n, draws):
     dim = 2 * n
     draws = {"1": 1, "pass-1": _probe_pass(dim) - 1, "pass+1": _probe_pass(dim) + 1,
              "1000": 1000}[draws]
-    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    got = _haar_draws(rng, draws, dim)
-    assert got == _per_draw_haar(ref_rng, draws, dim)
+    per_kind, ref_kinds = _per_kind(n), _per_kind(n)
+    got = _haar_draws(per_kind, draws, dim)
+    assert got == _per_draw_haar(ref_kinds, draws, dim)
     assert got[2] is not None and got[0] == got[1] == draws
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _states(per_kind) == _states(ref_kinds)
 
 
-def _per_map_constructed(rng, n, constructed):
+def _per_map_constructed(per_kind, n, constructed):
     """The constructed maps' row values and their Type1 and Type2 maps
-    through the public functions, one map at a time."""
+    through the public functions, one map at a time, each object the next
+    of its kind."""
+    maps, states, probe_states, probe_shifts = per_kind
     dim = 2 * n
     type1_hits = type2_hits = 0
     unitarity = roundtrip = equivariance = 0.0
@@ -1015,8 +1081,8 @@ def _per_map_constructed(rng, n, constructed):
     identity = math.inf
     type1_maps, type2_maps = [], []
     for _ in range(constructed):
-        u = random_unitary(n, rng.integers(2**62))
-        qs = [random_real_state(dim, rng.integers(2**62)).q for _ in range(2)]
+        u = random_unitary(n, maps)
+        qs = [random_real_state(dim, states).q for _ in range(2)]
         m1, m2 = from_unitary(u), from_antiunitary(u)
         type1_maps.append(m1)
         type2_maps.append(m2)
@@ -1045,7 +1111,7 @@ def _per_map_constructed(rng, n, constructed):
                 float(np.linalg.norm(img2 - u @ np.conj(v))),
             )
         for m, k in ((m1, 0), (m2, 1)):
-            probe = gauge_invariance_probe(m, seed=int(rng.integers(2**62)))
+            probe = _next_probe(m, probe_states, probe_shifts)
             probes[k] = max(probes[k], probe.max_deviation)
     values = [type1_hits / constructed, type2_hits / constructed, unitarity, roundtrip,
               equivariance, *probes, identity]
@@ -1077,15 +1143,16 @@ def test_constructed_maps_and_closure_equal_per_map_public_calls(n, count):
     dim = 2 * n
     constructed = {"1": 1, "pass-1": _probe_pass(dim) - 1, "pass+1": _probe_pass(dim) + 1,
                    "100": 100}[count]
+    per_kind, ref_kinds = _per_kind(n), _per_kind(n)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     report = Report("correspondence", {})
-    maps = _check_constructed(report, rng, n, constructed)
+    maps = _check_constructed(report, per_kind, n, constructed)
     violations = _closure_violations(rng, maps)
-    values, type1_maps, type2_maps = _per_map_constructed(ref_rng, n, constructed)
+    values, type1_maps, type2_maps = _per_map_constructed(ref_kinds, n, constructed)
     assert [c.value for c in report.checks] == values
     assert np.array_equal(maps, np.stack((type1_maps, type2_maps)))
     assert violations == _per_round_closure(ref_rng, type1_maps, type2_maps) == 0
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _states([rng, *per_kind]) == _states([ref_rng, *ref_kinds])
     # every other Type2 map swapped for a Type1 one: which products break the
     # sign rule depends on the maps each round draws
     mixed = [m2 if k % 2 else m1 for k, (m1, m2) in enumerate(zip(type1_maps, type2_maps))]
@@ -1098,7 +1165,7 @@ def test_constructed_pass_and_closure_keep_their_exception_types(monkeypatch):
     from infogeo import statespace, transforms
 
     def run():
-        return _check_constructed(Report("correspondence", {}), np.random.default_rng(7), 3, 10)
+        return _check_constructed(Report("correspondence", {}), _per_kind(7), 3, 10)
 
     haar = transforms._haar_from_gaussian
     monkeypatch.setattr(transforms, "_haar_from_gaussian", lambda z: 1.001 * haar(z))
@@ -1106,11 +1173,11 @@ def test_constructed_pass_and_closure_keep_their_exception_types(monkeypatch):
         run()
     monkeypatch.setattr(transforms, "_haar_from_gaussian", haar)
     # states that passed their own check, scaled: their images fail RealState's
-    states = statespace._real_states_seeded
-    monkeypatch.setattr(statespace, "_real_states_seeded", lambda *args: 1.001 * states(*args))
+    states = statespace._real_states
+    monkeypatch.setattr(statespace, "_real_states", lambda *args: 1.001 * states(*args))
     with pytest.raises(ValidationError, match="unit norm"):
         run()
-    monkeypatch.setattr(statespace, "_real_states_seeded", states)
+    monkeypatch.setattr(statespace, "_real_states", states)
     with pytest.raises(NotOrthogonal):
         _closure_violations(np.random.default_rng(7), 1.001 * run())
 
@@ -1193,8 +1260,7 @@ def test_correspondence_traced_peak_does_not_grow_with_draws():
         run_correspondence(RunConfig("correspondence", n=2, seed=1, draws=draws))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    # the first run also holds what NumPy allocates once per process; up to
-    # 256 draws the peak gains the seeds of one seed group (~30 kB), then
-    # stays flat
+    # the first run also holds what NumPy allocates once per process; after
+    # it the peak stays flat, as every pass draws its objects afresh
     assert peaks[2] <= peaks[1] + 64 * 1024
     assert peaks[3] <= 1.01 * peaks[2]

@@ -22,7 +22,7 @@ from infogeo import distmax, transforms
 from infogeo._streams import substreams
 from infogeo.cli import RunConfig, run_wootters
 from infogeo.distmax import _distance_after, _maximize_pairs, n_parameters
-from conftest import decimal_ray_angle, haar_columns_distance
+from conftest import complex_gaussian, decimal_ray_angle, haar_columns_distance
 
 E0 = ComplexState([1.0, 0.0])
 E1 = ComplexState([0.0, 1.0])
@@ -548,8 +548,8 @@ def test_kicked_outputs_keep_the_gram_matrix_of_the_pair():
     # acting on the pair, which keeps x^H x, x^H y, y^H y to rounding
     rng = np.random.default_rng(11)
     for n in (2, 3, 8, 64):
-        xy = transforms._gaussian(rng, (30, 2, n), complex_=True)
-        c = transforms._haar_from_gaussian(transforms._gaussian(rng, (30, n, 2), complex_=True))
+        xy = complex_gaussian(rng, (30, 2, n))
+        c = transforms._haar_from_gaussian(complex_gaussian(rng, (30, n, 2)))
         kicked = transforms._haar_images(xy, c)
         gram, kicked_gram = (m.conj() @ m.swapaxes(1, 2) for m in (xy, kicked))
         scale = np.abs(gram).max(axis=(1, 2))[:, None, None]

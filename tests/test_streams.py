@@ -10,7 +10,6 @@ from infogeo._streams import (
     _PROBE_WORDS,
     _State,
     _word_order,
-    streams,
     substreams,
 )
 
@@ -59,40 +58,6 @@ def test_substreams_reject_seeds_as_seed_sequence_does():
 
 
 # ---------------------------------------------------------------------------
-# streams: the state of np.random.default_rng(seed) for each seed
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**160 - 1), min_size=1, max_size=5))
-def test_stream_states_equal_default_rng(seeds):
-    states = [rng.bit_generator.state for rng in streams(seeds)]
-    assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
-
-
-@pytest.mark.parametrize(
-    "seed", [0, 2**32 - 1, 2**32, 2**62 - 1, 2**64 + 5, 2**128, np.int64(2**62 - 1)]
-)
-def test_stream_state_equals_default_rng_at_word_boundaries(seed):
-    # seeds below 2**128 fill at most the 4-word pool; 2**128 is a fifth word
-    rng = next(streams([seed]))
-    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-
-
-def test_streams_split_blocks_where_the_word_count_changes():
-    seeds = [5, 2**130, 2**130 + 1, 7, *range(_BLOCK + 3), 2**200]
-    draws = [rng.random(2).tolist() for rng in streams(seeds)]
-    assert draws == [np.random.default_rng(s).random(2).tolist() for s in seeds]
-
-
-def test_streams_reject_seeds_as_default_rng_does():
-    for seed, error in [(-1, ValueError), (1.5, TypeError), ("3", TypeError)]:
-        with pytest.raises(error):
-            np.random.default_rng(seed)
-        with pytest.raises(error):
-            next(streams([3, seed]))
-
-
-# ---------------------------------------------------------------------------
 # the direct state write: every reset leaves the state NumPy's setter leaves
 
 
@@ -101,7 +66,8 @@ def test_reset_after_a_draw_that_caches_a_uint32():
     # the next reset must clear it, as the setter does
     for gens, reference in [
         (substreams(9, range(3)), [_numpy_state(9, k) for k in range(3)]),
-        (streams([4, 5, 6]), [np.random.default_rng(s).bit_generator.state for s in (4, 5, 6)]),
+        (substreams(2**64 + 5, range(2**32 - 1, 2**32 + 1)),
+         [_numpy_state(2**64 + 5, k) for k in (2**32 - 1, 2**32)]),
     ]:
         for rng, state in zip(gens, reference):
             assert rng.bit_generator.state == state
@@ -110,14 +76,15 @@ def test_reset_after_a_draw_that_caches_a_uint32():
 
 
 def test_interleaved_stream_iterators_keep_their_own_states():
-    # correspondence advances four streams(...) iterators in turn
-    seeds = [list(range(start, start + _BLOCK + 2)) for start in (0, 10**6)]
-    first, second = (streams(s) for s in seeds)
-    for s, t in zip(*seeds):
+    # two substreams(...) iterators advanced in turn, across a block: each
+    # writes into its own Generator
+    keys = range(_BLOCK + 2)
+    first, second = substreams(3, keys), substreams(10**30, keys)
+    for k in keys:
         a = next(first)
         b = next(second)
-        assert a.bit_generator.state == np.random.default_rng(s).bit_generator.state
-        assert b.bit_generator.state == np.random.default_rng(t).bit_generator.state
+        assert a.bit_generator.state == _numpy_state(3, k)
+        assert b.bit_generator.state == _numpy_state(10**30, k)
 
 
 class _Words(np.random.bit_generator.ISeedSequence):

@@ -35,9 +35,9 @@ from infogeo import (
     to_unitary,
     transforms,
 )
-from infogeo._streams import streams
 from infogeo.simplex import _norms
 from infogeo.transforms import STRUCTURAL_TOL, _require_isometries
+from conftest import complex_gaussian
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -366,7 +366,7 @@ def test_probe_over_a_stack_equals_one_call_per_map():
     ms = np.stack([from_unitary(u), random_orthogonal(6, 1), from_antiunitary(u),
                    random_orthogonal(6, 2)])
     rng = np.random.default_rng(5)
-    qs = np.stack([transforms._probe_states(rng, 7, 6) for _ in ms])
+    qs = np.stack([transforms._probe_states(rng, (7,), 6) for _ in ms])
     chi0s = rng.uniform(0.0, 2.0 * math.pi, size=(len(ms), 5))
     passed, worst, i, k = transforms._probe_stack(ms, qs, chi0s, transforms.DEFAULT_GAUGE)
     assert passed.tolist() == [True, False, True, False]
@@ -376,16 +376,32 @@ def test_probe_over_a_stack_equals_one_call_per_map():
         if not res.passed:
             assert res.witness_state.tolist() == qs[c, i[c]].tolist()
             assert res.witness_shift == chi0s[c, k[c]]
-    # the default samples, each map's drawn from its own seed
-    seeds = [11, 2**40, 7, 5]
-    passed, worst, states, shifts = transforms._probe_seeded(ms, streams(seeds))
+    # default samples drawn as one block per kind: map c's are the c-th
+    # _probe_states and _probe_shifts draws of their Generators
+    dim, n_states, n_shifts = 6, transforms.PROBE_STATES, transforms.PROBE_SHIFTS
+    gens, ref_gens = ([np.random.default_rng(s) for s in (11, 2**40)] for _ in range(2))
+    qs = transforms._probe_states(gens[0], (len(ms), n_states), dim)
+    chi0s = transforms._probe_shifts(gens[1], (len(ms), n_shifts))
+    passed, worst, i, k = transforms._probe_stack(ms, qs, chi0s, transforms.DEFAULT_GAUGE)
     assert passed.tolist() == [True, False, True, False]
-    for c, (m, seed) in enumerate(zip(ms, seeds)):
-        res = gauge_invariance_probe(m, seed=seed)
+    for c, m in enumerate(ms):
+        states = [RealState(q) for q in transforms._probe_states(ref_gens[0], (n_states,), dim)]
+        res = gauge_invariance_probe(
+            m, states=states, chi0s=transforms._probe_shifts(ref_gens[1], n_shifts)
+        )
         assert (res.passed, res.max_deviation) == (passed[c], worst[c])
         if not res.passed:
-            assert res.witness_state.tolist() == states[c].tolist()
-            assert res.witness_shift == shifts[c]
+            assert res.witness_state.tolist() == qs[c, i[c]].tolist()
+            assert res.witness_shift == chi0s[c, k[c]]
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in ref_gens]
+    # the public default: the states, then the shifts, from the seed's stream
+    rng = np.random.default_rng(5)
+    states = [RealState(q) for q in transforms._probe_states(rng, (n_states,), dim)]
+    chi0s = transforms._probe_shifts(rng, n_shifts)
+    res = gauge_invariance_probe(ms[1], states=states, chi0s=chi0s)
+    default = gauge_invariance_probe(ms[1], seed=5)
+    assert (default.max_deviation, default.witness_shift) == (res.max_deviation, res.witness_shift)
+    assert default.witness_state.tolist() == res.witness_state.tolist()
 
 
 @pytest.mark.parametrize(
@@ -460,7 +476,7 @@ def test_haar_columns_are_the_first_columns_of_the_full_draw(n):
     # one sampler: the thin QR of an (k, n, 2) stack of Gaussian columns
     # gives the first two columns of the Haar unitaries of the (k, n, n)
     # stack that holds them, bit for bit
-    z = transforms._gaussian(np.random.default_rng(n), (20, n, n), complex_=True)
+    z = complex_gaussian(np.random.default_rng(n), (20, n, n))
     full = transforms._haar_from_gaussian(z)
     columns = transforms._haar_from_gaussian(z[..., :2].copy())
     assert columns.shape == (20, n, 2)
@@ -470,12 +486,12 @@ def test_haar_columns_are_the_first_columns_of_the_full_draw(n):
 @pytest.mark.parametrize("complex_", [False, True], ids=["orthogonal", "unitary"])
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_haar_seeded_equals_per_seed_gaussian_draws(n, complex_):
-    # one standard_normal(out=) block per seed: _gaussian's draws (real
-    # parts, then imaginary) and the same QR pass
-    seeds = [0, 1, 2**40, *range(7, 60)]
-    gauss = [transforms._gaussian(np.random.default_rng(s), (n, n), complex_) for s in seeds]
-    # a longer generator of streams: only count of them are taken
-    got = transforms._haar_seeded(streams([*seeds, 1]), len(seeds), n, complex_)
-    assert got.tolist() == transforms._haar_from_gaussian(np.array(gauss)).tolist()
+    # per seed, one block of standard normals for a stack of maps is the
+    # draws of the public sampler's calls in turn on the same stream (each
+    # map's real parts, then its imaginary parts), with the same QR pass
     public = random_unitary if complex_ else random_orthogonal
-    assert got[3].tolist() == public(n, seeds[3]).tolist()
+    for seed, count in ((0, 1), (2**40, 2), (7, 53)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = transforms._haar(rng, n, (count,), complex_)
+        assert got.tolist() == [public(n, ref_rng).tolist() for _ in range(count)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
