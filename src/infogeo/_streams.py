@@ -1,11 +1,12 @@
 """Indexed substreams of a seed, with the seeding done for a block of keys
 at once.
 
-`substreams(seed, keys)` yields substream k of a seed for each key k, the
-stream of PCG64(SeedSequence(seed, spawn_key=(k,))).  That is NumPy's
-`SeedSequence(seed).spawn(m)[k]` for any m > k, the package's one definition
-of an indexed substream: the Monte Carlo trials and the optimizer's restarts
-draw from it.
+`substreams(seed, count)` yields substream k of a seed for each key
+k < count, the stream of PCG64(SeedSequence(seed, spawn_key=(k,))).  That
+is NumPy's `SeedSequence(seed).spawn(count)[k]`, the package's one
+definition of an indexed substream: trial t of the Monte Carlo and restart
+r of a `wootters` pair draw from substream t or r of their seed.  A key is
+one uint32 spawn word, so count is at most 2**32.
 
 Building a SeedSequence, a PCG64 and a Generator per key costs ~16-20 us
 (NumPy 2.4, x86-64), almost all of it in the seeding.  Both seeding steps are
@@ -34,7 +35,6 @@ arithmetic is the same under NumPy 1.x value-based casting and NumPy 2
 from __future__ import annotations
 
 import ctypes
-import itertools
 import operator
 from typing import Iterator
 
@@ -196,52 +196,36 @@ class _State:
             yield self.rng
 
 
-def substreams(seed: int, keys: range) -> Iterator[np.random.Generator]:
-    """Yield a Generator on substream k of seed for each k in keys.
+def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield a Generator on substream k of seed for each k in range(count).
 
     One Generator is reset for every key, so draw from it before asking for
     the next.  seed must be a nonnegative int: like SeedSequence, this
     raises ValueError for a negative one and TypeError for a float or a
-    string.  Seed None draws fresh entropy once for all keys.
+    string.  Seed None draws fresh entropy once for all keys.  A count
+    above 2**32 raises ValueError: every key is one uint32 spawn word.
     """
     seed = _seed_int(np.random.SeedSequence().entropy if seed is None else seed)
-    # a spawned SeedSequence pads its run entropy to the pool size, then
-    # appends the words of its key
-    seed_words = [(seed >> 32 * j) & _MASK32 for j in range(max(_POOL_SIZE, _word_count(seed)))]
-    return _seeded(seed_words, keys)
+    if not 0 <= operator.index(count) <= 2**32:
+        raise ValueError(f"count must lie in [0, 2**32], got {count}")
+    return _seeded(seed, count)
 
 
-def _word_count(value: int) -> int:
-    # uint32 words of a nonnegative int, 1 for 0
-    return ((value | 1).bit_length() + 31) >> 5
-
-
-def _seeded(seed_words: list[int], keys: range) -> Iterator[np.random.Generator]:
-    """Yield one Generator reset, for each key in turn, to the SeedSequence
-    state of entropy words seed_words + the key's words; keys go in blocks
-    of _BLOCK, cut into runs of one width."""
+def _seeded(seed: int, count: int) -> Iterator[np.random.Generator]:
+    # one Generator reset to each key's state in turn, the keys seeded in
+    # blocks of _BLOCK
     state = _State()
-    keys = iter(keys)
-    while block := list(itertools.islice(keys, _BLOCK)):
-        # the word count grows with the key, so a block whose smallest and
-        # largest keys share it is one run
-        if _word_count(min(block)) == _word_count(max(block)):
-            runs = [block]
-        else:
-            runs = [list(run) for _, run in itertools.groupby(block, _word_count)]
-        # the Python ints go before the block's streams are handed out
-        words = [_run_words(seed_words, run) for run in runs]
-        del block, runs
-        for run_words in words:
-            yield from state.reset(run_words)
+    for start in range(0, count, _BLOCK):
+        yield from state.reset(_key_words(seed, start, min(start + _BLOCK, count)))
 
 
-def _run_words(seed_words: list[int], run: list[int]) -> np.ndarray:
-    # generate_state words of a run of keys of one word count, the entropy
-    # built one word row at a time
-    width, rows = _word_count(run[0]), len(seed_words)
-    entropy = np.empty((rows + width, len(run)), dtype=np.uint32)
-    entropy[:rows] = np.array(seed_words, dtype=np.uint32)[:, None]
-    for j in range(width):
-        entropy[rows + j] = [(k >> 32 * j) & _MASK32 for k in run]
+def _key_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """generate_state(4, uint64) of SeedSequence(seed, spawn_key=(k,)) for
+    each key k in range(start, stop), keys below 2**32: (4, keys) uint64."""
+    # a spawned SeedSequence pads its run entropy to the pool size, then
+    # appends the word of its key
+    rows = max(_POOL_SIZE, (seed.bit_length() + 31) >> 5)
+    entropy = np.empty((rows + 1, stop - start), dtype=np.uint32)
+    entropy[:rows] = np.array([(seed >> 32 * j) & _MASK32 for j in range(rows)], np.uint32)[:, None]
+    entropy[rows] = np.arange(start, stop, dtype=np.int64)
     return _seed_words(entropy)

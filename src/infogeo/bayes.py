@@ -186,7 +186,7 @@ def _trial_log_ratios(exp: CoinExperiment, trials: int, seed: int) -> tuple[np.n
     coin 1 have positive weight under it."""
     ratios = np.empty(trials)
     seen = []
-    gens = substreams(seed, range(trials))
+    gens = substreams(seed, trials)
     per_pass = _per_pass(32 * exp.p.n)
     # multinomial draws its first count as binomial(n, p_0), with the same
     # sampler and cache, and gives the rest to the second outcome

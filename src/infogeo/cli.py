@@ -273,14 +273,10 @@ def _kl_fisher_errors(rng: np.random.Generator, n: int, tangents: int, epsilons)
 def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     """Largest |ds^2 - |dq|^2| over random sphere points q in 2n dimensions and
     tangents dq: a sphere tangent dq at q moves the events P = q^2 by 2 q dq,
-    and the information metric there must equal the Euclidean form."""
-    q, dq = np.empty((2, tangents, 2 * n))
-    for point, step in zip(q, dq):
-        statespace._draw_direction(rng, point)
-        step[:] = rng.uniform(-1.0, 1.0, size=2 * n)
-    # random_real_state's scaling and check, once for all points
-    q = statespace._unit_rows(q)
-    statespace._check_unit_rows(q)
+    and the information metric there must equal the Euclidean form.  The
+    points are drawn first, as one stack, then the steps as one block."""
+    q = statespace._real_states(rng, tangents, 2 * n)
+    dq = rng.uniform(-1.0, 1.0, size=q.shape)
     dq = 1e-3 * (dq - simplex._row_dots(dq, q)[:, None] * q)
     events, moved = q**2, 2.0 * q * dq
     simplex._check_rows(events, "probs")
@@ -288,59 +284,77 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     return float(np.abs(simplex._fisher_rows(events, moved) - simplex._row_dots(dq, dq)).max())
 
 
+def _decimal_distances(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
+    """statistical_distance of each row pair, as the angle between the rays
+    of the exact square roots of the stored floats: 2 asin of half the chord
+    between the normalized roots, in 60-digit decimal arithmetic.  Unlike
+    acos of the root dot, which reads 0.0 at a distance of 1.09e-9, it keeps
+    its precision as the distance tends to 0."""
+    # imported here, not with the module: it adds ~1.5 ms to every CLI start
+    import decimal
+
+    angles = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for p, q in zip(probs.tolist(), probs2.tolist()):
+            xs = [decimal.Decimal(x).sqrt() for x in p]
+            ys = [decimal.Decimal(y).sqrt() for y in q]
+            nx, ny = sum(x * x for x in xs).sqrt(), sum(y * y for y in ys).sqrt()
+            half = sum((x / nx - y / ny) ** 2 for x, y in zip(xs, ys)).sqrt() / 2
+            angles.append(2.0 * math.asin(float(half)))
+    return np.array(angles)
+
+
 def _distance_identities(rng: np.random.Generator, n: int) -> tuple[float, float, float]:
-    """The largest |acos(sqrt(a) . sqrt(b)) - d_S(a, b)|, d_S(a, c) - d_S(a, b)
-    - d_S(b, c) and |ds^2(2 d) - 4 ds^2(d)| (each at least 0) over 200 rounds
-    of rng.uniform(0, 1) weights of a, b, c (rng.random() draws bit for bit),
-    an interior point and a direction d of size 1e-3, in that draw order."""
+    """Over 200 rounds of rng.uniform(0, 1) weights of a, b, c
+    (rng.random() draws bit for bit), an interior point p and a direction d
+    with max |d_i| = 1, in that draw order: the largest |d_S - reference|
+    (_decimal_distances) over the pairs (a, b) and the close pairs
+    (p, p + 1e-9 d), the largest d_S(a, c) - d_S(a, b) - d_S(b, c), and the
+    largest |ds^2(2e-3 d) - 4 ds^2(1e-3 d)| at p, each at least 0."""
     u = rng.random((200, 5, n))
     probs = u[:, :3] / u[:, :3].sum(axis=-1, keepdims=True)
     simplex._check_rows(probs, "probs")
     a, b, c = probs[:, 0], probs[:, 1], probs[:, 2]
-    roots = np.sqrt(probs)
-    # math.acos per row: the reference the distance kernel is compared with
-    dots = simplex._row_dots(roots[:, 0], roots[:, 1]).tolist()
-    via_embed = np.array([math.acos(min(1.0, x)) for x in dots])
-    d_ab, d_ac, d_bc = (simplex._distance_rows(x, y) for x, y in ((a, b), (a, c), (b, c)))
     p_in = _interior_dist(u[:, 3])
-    d1 = _centered_direction(u[:, 4]) * 1e-3
+    direction = _centered_direction(u[:, 4])
+    close = p_in + 1e-9 * direction
+    d1 = direction * 1e-3
     d2 = 2.0 * d1
-    for rows, kind in ((p_in, "probs"), (d1, "deltas"), (d2, "deltas")):
+    for rows, kind in ((p_in, "probs"), (close, "probs"), (d1, "deltas"), (d2, "deltas")):
         simplex._check_rows(rows, kind)
+    pairs = np.concatenate((a, p_in)), np.concatenate((b, close))
+    embed = np.abs(simplex._distance_rows(*pairs) - _decimal_distances(*pairs))
+    d_ab, d_ac, d_bc = (simplex._distance_rows(x, y) for x, y in ((a, b), (a, c), (b, c)))
     scaling = simplex._fisher_rows(p_in, d2) - 4.0 * simplex._fisher_rows(p_in, d1)
     return tuple(
-        max(0.0, float(x.max()))
-        for x in (np.abs(via_embed - d_ab), d_ac - d_ab - d_bc, np.abs(scaling))
+        max(0.0, float(x.max())) for x in (embed, d_ac - d_ab - d_bc, np.abs(scaling))
     )
 
 
 def _polar_consistency(rng: np.random.Generator, n: int) -> float:
     """The largest |polar_metric_quadratic - |polar_pushforward|^2| over 200
     rounds of a gauge (slope a of random sign, offset b), a polar state, a
-    direction dp and perturbations dtheta, dchi, drawn round by round in that
-    order and scored as one stack, with the checks of the objects a round
-    would build."""
-    gauges, rows = np.empty((200, 2)), np.empty((200, 5, n))
-    for gauge, (p_draw, theta, dp_draw, dtheta, dchi) in zip(gauges, rows):
-        gauge[:] = (rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]),
-                    rng.uniform(0.0, 2.0 * math.pi))
-        rng.random(out=p_draw)
-        theta[:] = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        rng.random(out=dp_draw)
-        dtheta[:] = rng.uniform(-1.0, 1.0, size=n)
-        dchi[:] = rng.uniform(-1.0, 1.0, size=n)
-    a = gauges[:, :1]
-    if not (np.isfinite(gauges).all() and (a != 0.0).all()):
+    direction dp and perturbations dtheta, dchi, each input drawn for all
+    rounds as one block in that order (slope, sign, offset, p, theta, dp,
+    dtheta, dchi) and scored as one stack, with the checks of the objects a
+    round would build."""
+    a = rng.uniform(0.5, 2.0, size=(200, 1)) * rng.choice([-1.0, 1.0], size=(200, 1))
+    b = rng.uniform(0.0, 2.0 * math.pi, size=200)
+    p_draw, theta = rng.random((200, n)), rng.uniform(0.0, 2.0 * math.pi, size=(200, n))
+    dp_draw = rng.random((200, n))
+    dtheta = rng.uniform(-1.0, 1.0, size=(200, n))
+    dchi = rng.uniform(-1.0, 1.0, size=(200, n))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a != 0.0).all()):
         raise ValidationError("gauge slope a must be finite and nonzero")
-    if not np.isfinite(rows[:, 1:]).all():
+    if not (np.isfinite(theta).all() and np.isfinite(dtheta).all() and np.isfinite(dchi).all()):
         raise ValidationError("theta, dtheta and dchi must be finite")
-    probs, deltas = _interior_dist(rows[:, 0]), _centered_direction(rows[:, 2])
+    probs, deltas = _interior_dist(p_draw), _centered_direction(dp_draw)
     simplex._check_rows(probs, "probs")
     simplex._check_rows(deltas, "deltas")
-    theta = statespace._reduced_angles(rows[:, 1])
-    dth = rows[:, 3] + a * rows[:, 4]
+    dth = dtheta + a * dchi
     quad = statespace._polar_quadratic_rows(probs, deltas, dth)
-    dq = statespace._pushforward_rows(probs, theta, deltas, dth)
+    dq = statespace._pushforward_rows(probs, statespace._reduced_angles(theta), deltas, dth)
     return max(0.0, float(np.abs(quad - simplex._row_dots(dq, dq)).max()))
 
 
@@ -424,7 +438,8 @@ def _haar_draws(per_kind, draws: int, dim: int):
     for start, count in _passes(draws, dim):
         ms, kinds = _haar_kinds(maps, count, dim)
         neither_hits += int(np.count_nonzero(kinds == transforms.TransformKind.NEITHER))
-        qs = transforms._probe_states(probe_states, (count, transforms.PROBE_STATES), dim)
+        qs = statespace._real_states(probe_states, count * transforms.PROBE_STATES, dim)
+        qs = qs.reshape(count, transforms.PROBE_STATES, dim)
         chi0s = transforms._probe_shifts(probe_shifts, (count, transforms.PROBE_SHIFTS))
         passed, worst, i, j = transforms._probe_stack(ms, qs, chi0s, statespace.DEFAULT_GAUGE)
         probe_failures += int(np.count_nonzero(~passed))
@@ -469,7 +484,8 @@ def _check_constructed(report: Report, per_kind, n: int, constructed: int):
         us = transforms._haar(maps_rng, n, (count,), complex_=True)
         # (map, state) stacks: two states and a probe per branch for each map
         qs = statespace._real_states(states, 2 * count, dim).reshape(count, 2, dim)
-        probe_qs = transforms._probe_states(probe_states, (count, 2, transforms.PROBE_STATES), dim)
+        probe_qs = statespace._real_states(probe_states, count * 2 * transforms.PROBE_STATES, dim)
+        probe_qs = probe_qs.reshape(count, 2, transforms.PROBE_STATES, dim)
         probe_chi0s = transforms._probe_shifts(probe_shifts, (count, 2, transforms.PROBE_SHIFTS))
         transforms._require_isometries(us, NotUnitary, "u^dagger @ u")
         ms = maps[:, start : start + count]

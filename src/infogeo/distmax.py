@@ -445,7 +445,7 @@ def _maximize_pairs(pairs, budget: int):
         for u, v, seed in itertools.chain([first], pairs):
             pair = _Pair(np.stack((u.v, v.v)), budget)
             pending.append(pair)
-            for stream in substreams(seed, range(budget)):
+            for stream in substreams(seed, budget):
                 yield pair, stream.standard_normal((1 + _KICKS, 2, n, 2))
 
     elements = restarts()

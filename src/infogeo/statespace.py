@@ -335,26 +335,16 @@ def random_real_state(dim: int, seed) -> RealState:
     dim = _integer(dim, "dim")
     if dim < 4 or dim % 2 != 0:
         raise ValidationError("dim must be even and >= 4")
-    z = np.empty(dim)
-    _draw_direction(np.random.default_rng(seed), z)
-    return RealState(_unit_rows(z))
-
-
-def _draw_direction(rng: np.random.Generator, row: np.ndarray) -> None:
-    # random_real_state's draw, unscaled, into a contiguous row: standard
-    # normals until their norm exceeds 1e-8 (the dot np.linalg.norm takes)
-    while True:
-        rng.standard_normal(out=row)
-        if math.sqrt(row @ row) > 1e-8:
-            return
+    return RealState(_real_states(np.random.default_rng(seed), 1, dim)[0])
 
 
 def _real_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """random_real_state(dim, rng).q of count calls in turn, as one (count,
-    dim) stack from one block of draws, scaled and checked in one pass."""
+    """The package's one sampler of random unit real states: a (count, dim)
+    block of standard normals, each row scaled to unit norm and checked in
+    one pass.  Row k is the k-th random_real_state(dim, rng) call's q."""
     z = rng.standard_normal((count, dim))
-    # a call draws again while its draw's norm is at most 1e-8 (odds ~1e-33
-    # at dim 4): the rows after such a row move up and one more is drawn
+    # a row whose norm is at most 1e-8 (odds ~1e-33 at dim 4) is drawn
+    # again: the rows after it move up and one more is drawn
     while (rejected := np.flatnonzero(_norms(z) <= 1e-8)).size:
         z[rejected[0] : -1] = z[rejected[0] + 1 :]
         z[-1] = rng.standard_normal(dim)

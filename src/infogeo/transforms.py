@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, NotUnitary, ValidationError, WrongType
 from .simplex import _integer, _norms, _vector
-from .statespace import DEFAULT_GAUGE, GaugeConvention
+from .statespace import DEFAULT_GAUGE, GaugeConvention, _real_states
 
 STRUCTURAL_TOL = 1e-10
 # the probe's default sample counts
@@ -248,7 +248,8 @@ def gauge_invariance_probe(
     compared; the probe passes iff the worst absolute deviation is at most
     STRUCTURAL_TOL.  When a violation exists the witnessing state and shift
     are recorded (the first in state-major order among equal deviations).
-    Defaults draw 32 uniform states and 16 shifts from the given seed.
+    Defaults draw from the given seed 32 states, random_real_state(dim,
+    rng) calls in turn, then 16 uniform shifts in [0, 2pi).
     Raises ValidationError for empty or non-finite states or shifts and
     DimensionMismatch for states of another dimension than m.
     """
@@ -261,7 +262,7 @@ def gauge_invariance_probe(
         n_states = _integer(n_states, "n_states")
         if n_states < 1:
             raise ValidationError("n_states must be positive")
-        qs = _probe_states(rng, (n_states,), dim)
+        qs = _real_states(rng, n_states, dim)
     else:
         qs = [state.q for state in states]
         if not qs:
@@ -288,14 +289,6 @@ def gauge_invariance_probe(
         witness_state=witness,
         witness_shift=None if passed else float(chi0s[k]),
     )
-
-
-def _probe_states(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
-    # the probe's default states: rows of standard normals scaled to unit
-    # norm, a (*shape, dim) stack of them being that many calls' rows in turn
-    qs = rng.standard_normal((*shape, dim))
-    qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
-    return qs
 
 
 def _probe_shifts(rng: np.random.Generator, shape) -> np.ndarray:

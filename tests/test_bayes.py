@@ -399,7 +399,7 @@ def test_binomial_draw_equals_multinomial_first_count(p0, tosses):
     # monte_carlo_gain's two-outcome draw: binomial(n, p_0) is multinomial's
     # first count, from the same stream state, leaving the same state behind
     # (n = 3 takes the inversion sampler, n = 800 BTPE)
-    pair = zip(substreams(11, range(2000)), substreams(11, range(2000)))
+    pair = zip(substreams(11, 2000), substreams(11, 2000))
     for rng_m, rng_b in pair:
         counts = rng_m.multinomial(tosses, [p0, 1.0 - p0])
         first = rng_b.binomial(tosses, p0)

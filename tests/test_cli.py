@@ -33,7 +33,6 @@ from infogeo import (
     random_orthogonal,
     random_real_state,
     random_unitary,
-    sqrt_embed,
     state_event_probs,
     statistical_distance,
     to_antiunitary,
@@ -64,7 +63,7 @@ from infogeo.cli import (
 from infogeo import cli, distmax, simplex, statespace, transforms
 from infogeo.errors import NotOrthogonal, NotUnitary, ValidationError
 from infogeo.reporting import Report, array_from_json, array_to_json, render_report
-from conftest import haar_columns_distance
+from conftest import decimal_ray_angle, haar_columns_distance
 
 # small, fast battery sizes, each command's slice holding the options it reads
 FAST = {
@@ -673,11 +672,12 @@ def _per_object_metric_rows(seed, n, tangents):
             errs[k] += abs(kl(p, p2) - 2.0 * fisher(p, dp))
     errs /= tangents
 
+    # every point, then every step as one block
+    states = [random_real_state(2 * n, rng) for _ in range(tangents)]
+    steps = rng.uniform(-1.0, 1.0, size=(tangents, 2 * n))
     worst = 0.0
-    for _ in range(tangents):
-        state = random_real_state(2 * n, rng)
-        dq = rng.uniform(-1.0, 1.0, size=2 * n)
-        dq -= (dq @ state.q) * state.q
+    for state, dq in zip(states, steps):
+        dq = dq - (dq @ state.q) * state.q
         dq *= 1e-3
         events = ProbDist(state_event_probs(state).event_probs)
         gap = abs(fisher(events, TangentVec(2.0 * state.q * dq)) - float(dq @ dq))
@@ -716,20 +716,24 @@ def test_kl_fisher_errors_traced_peak_does_not_grow_with_epsilons():
 
 def _per_round_identities(rng, n):
     """metric-check's 200 rounds of distance identities through the public
-    constructors and functions, one round at a time."""
+    constructors and functions, one round at a time, each distance against
+    conftest's decimal reference."""
     worst_embed = worst_triangle = worst_scaling = 0.0
     for _ in range(200):
         a = ProbDist.renormalized(rng.uniform(0, 1, n))
         b = ProbDist.renormalized(rng.uniform(0, 1, n))
         c = ProbDist.renormalized(rng.uniform(0, 1, n))
-        via_embed = math.acos(min(1.0, float(sqrt_embed(a) @ sqrt_embed(b))))
-        worst_embed = max(worst_embed, abs(via_embed - statistical_distance(a, b)))
         worst_triangle = max(
             worst_triangle,
             statistical_distance(a, c) - statistical_distance(a, b) - statistical_distance(b, c),
         )
         p_in = ProbDist(_interior_dist(rng.random(n)))
-        d1 = TangentVec(_centered_direction(rng.random(n)) * 1e-3)
+        direction = _centered_direction(rng.random(n))
+        close = ProbDist(p_in.probs + 1e-9 * direction)
+        for x, y in ((a, b), (p_in, close)):
+            exact = decimal_ray_angle(x.probs, y.probs, sqrt=True)
+            worst_embed = max(worst_embed, abs(statistical_distance(x, y) - exact))
+        d1 = TangentVec(direction * 1e-3)
         d2 = TangentVec(2.0 * d1.deltas)
         worst_scaling = max(
             worst_scaling, abs(fisher_quadratic(p_in, d2) - 4.0 * fisher_quadratic(p_in, d1))
@@ -747,6 +751,25 @@ def test_distance_identities_equal_per_round_public_calls(n, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_embed_identity_holds_at_close_pairs(n):
+    # the close pairs (p, p + 1e-9 d) keep the 1e-12 bound against the
+    # decimal reference; acos of the root dot, the old reference, reads them
+    # as 0.0 or an ulp of 1 away, ~1e-9 from the distance
+    assert _distance_identities(np.random.default_rng(n), n)[0] <= 1e-12
+    u = np.random.default_rng(n).random((200, 5, n))
+    p = _interior_dist(u[:, 3])
+    close = p + 1e-9 * _centered_direction(u[:, 4])
+    exact = cli._decimal_distances(p, close)
+    via_acos = np.arccos(np.minimum(1.0, simplex._row_dots(np.sqrt(p), np.sqrt(close))))
+    assert np.abs(simplex._distance_rows(p, close) - exact).max() <= 1e-12
+    assert np.abs(via_acos - exact).max() > 1e-10
+    # the FOUND's pair: acos reads 0.0 at a distance of 1.09e-9
+    pair = np.array([[0.3, 0.7]]), np.array([[0.3 + 1e-9, 0.7 - 1e-9]])
+    assert cli._decimal_distances(*pair)[0] == pytest.approx(1.0910894e-9, rel=1e-7)
+    assert cli._decimal_distances(*pair)[0] == decimal_ray_angle(*pair[0], *pair[1], sqrt=True)
+
+
 def test_centered_direction_maps_all_equal_row_to_edge():
     u = np.array([[0.3, 0.3, 0.3, 0.3], [0.1, 0.9, 0.4, 0.2], [0.6, 0.6, 0.6, 0.6]])
     rows = _centered_direction(u)
@@ -759,21 +782,19 @@ def test_centered_direction_maps_all_equal_row_to_edge():
 
 def _per_round_polar(rng, n):
     """metric-check's 200 polar-chart rounds through the public objects and
-    functions, one round at a time."""
+    functions, one round at a time, on the battery's blocks of draws (each
+    input for all rounds in turn)."""
+    slope, sign = rng.uniform(0.5, 2.0, size=200), rng.choice([-1.0, 1.0], size=200)
+    offset, p_draw = rng.uniform(0.0, 2.0 * math.pi, size=200), rng.random((200, n))
+    theta, dp_draw = rng.uniform(0.0, 2.0 * math.pi, size=(200, n)), rng.random((200, n))
+    dtheta, dchi = rng.uniform(-1.0, 1.0, size=(200, n)), rng.uniform(-1.0, 1.0, size=(200, n))
     worst = 0.0
-    for _ in range(200):
-        gauge = GaugeConvention(
-            a=float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
-            b=float(rng.uniform(0.0, 2.0 * math.pi)),
-        )
-        ps = PolarState(
-            ProbDist(_interior_dist(rng.random(n))), rng.uniform(0.0, 2.0 * math.pi, size=n)
-        )
-        dp = TangentVec(_centered_direction(rng.random(n)))
-        dtheta = rng.uniform(-1.0, 1.0, size=n)
-        dchi = rng.uniform(-1.0, 1.0, size=n)
-        quad = polar_metric_quadratic(ps, dp, dtheta, gauge, dchi)
-        dq = polar_pushforward(ps, dp, dtheta + gauge.a * dchi)
+    for r in range(200):
+        gauge = GaugeConvention(a=float(slope[r] * sign[r]), b=float(offset[r]))
+        ps = PolarState(ProbDist(_interior_dist(p_draw[r])), theta[r])
+        dp = TangentVec(_centered_direction(dp_draw[r]))
+        quad = polar_metric_quadratic(ps, dp, dtheta[r], gauge, dchi[r])
+        dq = polar_pushforward(ps, dp, dtheta[r] + gauge.a * dchi[r])
         worst = max(worst, abs(quad - float(dq @ dq)))
     return worst
 
@@ -826,7 +847,7 @@ def test_polar_rounds_keep_the_per_round_checks(method, value, error):
 
 
 def _direction_reference(rng, dim):
-    # random_real_state's draw one tangent at a time: standard normals until
+    # random_real_state's draw one state at a time: standard normals until
     # np.linalg.norm exceeds 1e-8, scaled to unit norm
     while True:
         z = rng.standard_normal(dim)
@@ -836,33 +857,29 @@ def _direction_reference(rng, dim):
 
 
 def _per_tangent_pullback(rng, n, tangents):
-    """_worst_pullback with each point drawn and scaled on its own."""
-    q, dq = np.empty((2, tangents, 2 * n))
-    for t in range(tangents):
-        q[t] = _direction_reference(rng, 2 * n)
-        dq[t] = rng.uniform(-1.0, 1.0, size=2 * n)
-    dq = 1e-3 * (dq - simplex._row_dots(dq, q)[:, None] * q)
-    return float(np.abs(simplex._fisher_rows(q**2, 2.0 * q * dq) - simplex._row_dots(dq, dq)).max())
-
-
-@pytest.mark.parametrize("n", [2, 3, 32])
-def test_worst_pullback_equals_per_tangent_reference(n):
-    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    assert _worst_pullback(rng, n, 300) == _per_tangent_pullback(ref_rng, n, 300)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the first point's draw has norm 0, below 1e-8: it is drawn again
-    rng, ref_rng = _Draws(n, "standard_normal", 0.0), _Draws(n, "standard_normal", 0.0)
-    assert _worst_pullback(rng, n, 50) == _per_tangent_pullback(ref_rng, n, 50)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    """_worst_pullback through RealState and fisher_quadratic one tangent at
+    a time, on the same draws: every point drawn on its own, then every
+    step as one block."""
+    states = [RealState(_direction_reference(rng, 2 * n)) for _ in range(tangents)]
+    steps = rng.uniform(-1.0, 1.0, size=(tangents, 2 * n))
+    worst = 0.0
+    for state, dq in zip(states, steps):
+        dq = 1e-3 * (dq - (dq @ state.q) * state.q)
+        events = ProbDist(state_event_probs(state).event_probs)
+        worst = max(worst, abs(fisher_quadratic(events, TangentVec(2.0 * state.q * dq)) - dq @ dq))
+    return worst
 
 
 class _ZeroNormals:
     """A Generator whose standard normals at stream positions [start, stop)
-    read 0, however many each call draws."""
+    read 0, however many each call draws; its other draws are the seed's."""
 
     def __init__(self, seed, start, stop):
         self._rng, self._drawn, self._zeros = np.random.default_rng(seed), 0, (start, stop)
         self.bit_generator = self._rng.bit_generator
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
     def standard_normal(self, size):
         z = self._rng.standard_normal(size)
@@ -870,6 +887,19 @@ class _ZeroNormals:
         z[(at >= self._zeros[0]) & (at < self._zeros[1])] = 0.0
         self._drawn += z.size
         return z
+
+
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_worst_pullback_equals_per_tangent_reference(n):
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    assert _worst_pullback(rng, n, 300) == _per_tangent_pullback(ref_rng, n, 300)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the first point's draw and a later one have norm 0, below 1e-8: each is
+    # drawn again, and the points after it draw what follows
+    for row in (0, 7):
+        rng, ref_rng = (_ZeroNormals(n, 2 * n * row, 2 * n * (row + 1)) for _ in range(2))
+        assert _worst_pullback(rng, n, 50) == _per_tangent_pullback(ref_rng, n, 50)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", [4, 6, 128])
@@ -1021,10 +1051,11 @@ def _states(gens):
 
 def _next_probe(m, probe_states, probe_shifts):
     """gauge_invariance_probe of m with the next default samples of the
-    probe-state and probe-shift Generators."""
-    qs = transforms._probe_states(probe_states, (transforms.PROBE_STATES,), len(m))
+    probe-state and probe-shift Generators: 32 random_real_state calls and
+    one _probe_shifts draw."""
+    states = [random_real_state(len(m), probe_states) for _ in range(transforms.PROBE_STATES)]
     chi0s = transforms._probe_shifts(probe_shifts, transforms.PROBE_SHIFTS)
-    return gauge_invariance_probe(m, states=[RealState(q) for q in qs], chi0s=chi0s)
+    return gauge_invariance_probe(m, states=states, chi0s=chi0s)
 
 
 def _per_draw_haar(per_kind, draws, dim):

@@ -388,7 +388,7 @@ def test_restart_starts_from_the_haar_columns_of_its_substream(n, monkeypatch):
     maximize_statistical_distance(u, v, budget=budget, seed=seed)
     assert len(starts[0]) == budget
     vectors = np.stack((u.v, v.v))
-    for xy, stream in zip(starts[0], substreams(seed, range(budget))):
+    for xy, stream in zip(starts[0], substreams(seed, budget)):
         g = stream.standard_normal((2, n, 2))
         start = statistical_distance(*(ProbDist(np.abs(row) ** 2) for row in xy))
         assert abs(start - haar_columns_distance(g[0] + 1j * g[1], vectors, u, v)) <= CERTIFY_TOL

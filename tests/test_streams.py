@@ -9,6 +9,7 @@ from infogeo._streams import (
     _PROBE_UINTEGER,
     _PROBE_WORDS,
     _State,
+    _key_words,
     _word_order,
     substreams,
 )
@@ -18,35 +19,48 @@ def _numpy_state(seed, key):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))).state
 
 
+def _key_state(seed, key):
+    # the state substreams(seed, count) gives key k: its block's seeding
+    # words, written into a fresh Generator
+    return next(_State().reset(_key_words(seed, key, key + 1))).bit_generator.state
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**160 - 1), st.integers(0, 2**32 - 1))
 def test_substream_state_equals_numpy(seed, key):
-    rng = next(substreams(seed, range(key, key + 1)))
-    assert rng.bit_generator.state == _numpy_state(seed, key)
+    assert _key_state(seed, key) == _numpy_state(seed, key)
 
 
 @pytest.mark.parametrize("key", [0, 2**31, 2**32 - 1, 2**32, 2**64 + 3])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 10**30, 2**160 - 1])
 def test_substream_state_equals_numpy_at_word_boundaries(seed, key):
-    # keys from 2**32 on are a second (third) spawn word, mixed in as NumPy does
-    rng = next(substreams(seed, range(key, key + 1)))
-    assert rng.bit_generator.state == _numpy_state(seed, key)
+    # every key below 2**32 is one spawn word, mixed in as NumPy does; a key
+    # from 2**32 on would need a second word, so no count reaches it
+    if key < 2**32:
+        assert _key_state(seed, key) == _numpy_state(seed, key)
+    else:
+        with pytest.raises(ValueError, match="count"):
+            substreams(seed, key + 1)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 10**30])
 def test_substreams_equal_spawned_children_across_blocks(seed):
     keys = 2 * _BLOCK + 5
     children = np.random.SeedSequence(seed).spawn(keys)
-    draws = [rng.random(3) for rng in substreams(seed, range(keys))]
+    draws = [rng.random(3) for rng in substreams(seed, keys)]
     assert len(draws) == keys
     for child, got in zip(children, draws):
         assert np.array_equal(np.random.default_rng(child).random(3), got)
 
 
-def test_substream_block_splits_where_keys_gain_a_word():
-    keys = range(2**32 - 3, 2**32 + 3)
-    states = [rng.bit_generator.state for rng in substreams(5, keys)]
-    assert states == [_numpy_state(5, k) for k in keys]
+def test_substreams_reject_a_count_outside_one_spawn_word():
+    # uint32 keys would wrap past 2**32 - 1; the check runs before any draw
+    for count in (2**32 + 1, -1):
+        with pytest.raises(ValueError, match="count"):
+            substreams(5, count)
+    with pytest.raises(TypeError):
+        substreams(5, 3.0)
+    assert list(substreams(5, 0)) == []
 
 
 def test_substreams_reject_seeds_as_seed_sequence_does():
@@ -54,7 +68,7 @@ def test_substreams_reject_seeds_as_seed_sequence_does():
         with pytest.raises(error):
             np.random.SeedSequence(seed)
         with pytest.raises(error):
-            next(substreams(seed, range(1)))
+            next(substreams(seed, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +78,9 @@ def test_substreams_reject_seeds_as_seed_sequence_does():
 def test_reset_after_a_draw_that_caches_a_uint32():
     # a uint32 draw keeps the other half of its 64-bit word (has_uint32 = 1);
     # the next reset must clear it, as the setter does
-    for gens, reference in [
-        (substreams(9, range(3)), [_numpy_state(9, k) for k in range(3)]),
-        (substreams(2**64 + 5, range(2**32 - 1, 2**32 + 1)),
-         [_numpy_state(2**64 + 5, k) for k in (2**32 - 1, 2**32)]),
-    ]:
-        for rng, state in zip(gens, reference):
-            assert rng.bit_generator.state == state
+    for seed in (9, 2**64 + 5):
+        for k, rng in enumerate(substreams(seed, 3)):
+            assert rng.bit_generator.state == _numpy_state(seed, k)
             rng.integers(0, 2**31, dtype=np.uint32, size=1)
             assert rng.bit_generator.state["has_uint32"] == 1
 
@@ -78,9 +88,8 @@ def test_reset_after_a_draw_that_caches_a_uint32():
 def test_interleaved_stream_iterators_keep_their_own_states():
     # two substreams(...) iterators advanced in turn, across a block: each
     # writes into its own Generator
-    keys = range(_BLOCK + 2)
-    first, second = substreams(3, keys), substreams(10**30, keys)
-    for k in keys:
+    first, second = substreams(3, _BLOCK + 2), substreams(10**30, _BLOCK + 2)
+    for k in range(_BLOCK + 2):
         a = next(first)
         b = next(second)
         assert a.bit_generator.state == _numpy_state(3, k)

@@ -36,6 +36,7 @@ from infogeo import (
     transforms,
 )
 from infogeo.simplex import _norms
+from infogeo.statespace import _real_states
 from infogeo.transforms import STRUCTURAL_TOL, _require_isometries
 from conftest import complex_gaussian
 
@@ -366,7 +367,7 @@ def test_probe_over_a_stack_equals_one_call_per_map():
     ms = np.stack([from_unitary(u), random_orthogonal(6, 1), from_antiunitary(u),
                    random_orthogonal(6, 2)])
     rng = np.random.default_rng(5)
-    qs = np.stack([transforms._probe_states(rng, (7,), 6) for _ in ms])
+    qs = np.stack([_real_states(rng, 7, 6) for _ in ms])
     chi0s = rng.uniform(0.0, 2.0 * math.pi, size=(len(ms), 5))
     passed, worst, i, k = transforms._probe_stack(ms, qs, chi0s, transforms.DEFAULT_GAUGE)
     assert passed.tolist() == [True, False, True, False]
@@ -376,16 +377,17 @@ def test_probe_over_a_stack_equals_one_call_per_map():
         if not res.passed:
             assert res.witness_state.tolist() == qs[c, i[c]].tolist()
             assert res.witness_shift == chi0s[c, k[c]]
-    # default samples drawn as one block per kind: map c's are the c-th
-    # _probe_states and _probe_shifts draws of their Generators
+    # default samples drawn as one block per kind: map c's states are the
+    # c-th 32 random_real_state calls on the states' Generator, its shifts
+    # the c-th _probe_shifts draw of the shifts' Generator
     dim, n_states, n_shifts = 6, transforms.PROBE_STATES, transforms.PROBE_SHIFTS
     gens, ref_gens = ([np.random.default_rng(s) for s in (11, 2**40)] for _ in range(2))
-    qs = transforms._probe_states(gens[0], (len(ms), n_states), dim)
+    qs = _real_states(gens[0], len(ms) * n_states, dim).reshape(len(ms), n_states, dim)
     chi0s = transforms._probe_shifts(gens[1], (len(ms), n_shifts))
     passed, worst, i, k = transforms._probe_stack(ms, qs, chi0s, transforms.DEFAULT_GAUGE)
     assert passed.tolist() == [True, False, True, False]
     for c, m in enumerate(ms):
-        states = [RealState(q) for q in transforms._probe_states(ref_gens[0], (n_states,), dim)]
+        states = [random_real_state(dim, ref_gens[0]) for _ in range(n_states)]
         res = gauge_invariance_probe(
             m, states=states, chi0s=transforms._probe_shifts(ref_gens[1], n_shifts)
         )
@@ -396,7 +398,7 @@ def test_probe_over_a_stack_equals_one_call_per_map():
     assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in ref_gens]
     # the public default: the states, then the shifts, from the seed's stream
     rng = np.random.default_rng(5)
-    states = [RealState(q) for q in transforms._probe_states(rng, (n_states,), dim)]
+    states = [random_real_state(dim, rng) for _ in range(n_states)]
     chi0s = transforms._probe_shifts(rng, n_shifts)
     res = gauge_invariance_probe(ms[1], states=states, chi0s=chi0s)
     default = gauge_invariance_probe(ms[1], seed=5)
