@@ -284,34 +284,31 @@ def _worst_pullback(rng: np.random.Generator, n: int, tangents: int) -> float:
     return float(np.abs(simplex._fisher_rows(events, moved) - simplex._row_dots(dq, dq)).max())
 
 
-def _decimal_distances(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
-    """statistical_distance of each row pair, as the angle between the rays
-    of the exact square roots of the stored floats: 2 asin of half the chord
-    between the normalized roots, in 60-digit decimal arithmetic.  Unlike
-    acos of the root dot, which reads 0.0 at a distance of 1.09e-9, it keeps
-    its precision as the distance tends to 0."""
-    # imported here, not with the module: it adds ~1.5 ms to every CLI start
-    import decimal
-
-    angles = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        for p, q in zip(probs.tolist(), probs2.tolist()):
-            xs = [decimal.Decimal(x).sqrt() for x in p]
-            ys = [decimal.Decimal(y).sqrt() for y in q]
-            nx, ny = sum(x * x for x in xs).sqrt(), sum(y * y for y in ys).sqrt()
-            half = sum((x / nx - y / ny) ** 2 for x, y in zip(xs, ys)).sqrt() / 2
-            angles.append(2.0 * math.asin(float(half)))
-    return np.array(angles)
+def _chord_distances(probs: np.ndarray, probs2: np.ndarray) -> np.ndarray:
+    """statistical_distance of each row pair, as the great-circle angle
+    between the square-root embeddings on the unit sphere: 2 asin of half
+    the chord |x - y| between x = sqrt(p)/|sqrt(p)| and y = sqrt(q)/|sqrt(q)|,
+    in float64.  Unlike acos of the root dot, which reads 0.0 at a distance
+    of 1.09e-9, it keeps its precision as the distance tends to 0."""
+    x, y = np.sqrt(probs), np.sqrt(probs2)
+    x = x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    y = y / np.sqrt((y * y).sum(axis=-1, keepdims=True))
+    return 2.0 * np.arcsin(np.sqrt(((x - y) ** 2).sum(axis=-1)) / 2.0)
 
 
 def _distance_identities(rng: np.random.Generator, n: int) -> tuple[float, float, float]:
     """Over 200 rounds of rng.uniform(0, 1) weights of a, b, c
     (rng.random() draws bit for bit), an interior point p and a direction d
     with max |d_i| = 1, in that draw order: the largest |d_S - reference|
-    (_decimal_distances) over the pairs (a, b) and the close pairs
-    (p, p + 1e-9 d), the largest d_S(a, c) - d_S(a, b) - d_S(b, c), and the
-    largest |ds^2(2e-3 d) - 4 ds^2(1e-3 d)| at p, each at least 0."""
+    over the pairs (a, b) and the close pairs (p, p + 1e-9 d), the largest
+    d_S(a, c) - d_S(a, b) - d_S(b, c), and the largest
+    |ds^2(2e-3 d) - 4 ds^2(1e-3 d)| at p, each at least 0.
+
+    The reference is the float64 half chord of the normalized roots
+    (_chord_distances), which shares no step with d_S's atan2 kernel.
+    float64 is enough: it stays within 1e-14 of the angle evaluated to 60
+    digits, against the row's 1e-12 bound.  acos of the root dot
+    cannot serve: it is ~1e-9 off at the close pairs."""
     u = rng.random((200, 5, n))
     probs = u[:, :3] / u[:, :3].sum(axis=-1, keepdims=True)
     simplex._check_rows(probs, "probs")
@@ -324,7 +321,7 @@ def _distance_identities(rng: np.random.Generator, n: int) -> tuple[float, float
     for rows, kind in ((p_in, "probs"), (close, "probs"), (d1, "deltas"), (d2, "deltas")):
         simplex._check_rows(rows, kind)
     pairs = np.concatenate((a, p_in)), np.concatenate((b, close))
-    embed = np.abs(simplex._distance_rows(*pairs) - _decimal_distances(*pairs))
+    embed = np.abs(simplex._distance_rows(*pairs) - _chord_distances(*pairs))
     d_ab, d_ac, d_bc = (simplex._distance_rows(x, y) for x, y in ((a, b), (a, c), (b, c)))
     scaling = simplex._fisher_rows(p_in, d2) - 4.0 * simplex._fisher_rows(p_in, d1)
     return tuple(
@@ -654,12 +651,11 @@ def run_born_check(cfg: RunConfig) -> Report:
     v_s = statespace.random_complex_state(n, rng)
     dist_s = measurement.outcome_distribution(meas_s, v_s)
     counts = measurement.sample_outcomes(meas_s, v_s, cfg.shots, int(rng.integers(2**62)))
-    zmax = 0.0
-    for i in range(n):
-        spread = cfg.shots * dist_s.probs[i] * (1.0 - dist_s.probs[i])
-        if spread > 0.0:
-            zmax = max(zmax, abs(counts[i] - cfg.shots * dist_s.probs[i]) / math.sqrt(spread))
-    report.le("count_zscore_max", zmax, 3.0)
+    expected = cfg.shots * dist_s.probs
+    spread = expected * (1.0 - dist_s.probs)
+    live = spread > 0.0
+    zscores = np.abs(counts[live] - expected[live]) / np.sqrt(spread[live])
+    report.le("count_zscore_max", float(zscores.max(initial=0.0)), 3.0)
     report.within("counts_sum_error", float(int(counts.sum()) - cfg.shots), 0.0, 0.0)
 
     try:

@@ -345,9 +345,10 @@ def _real_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     z = rng.standard_normal((count, dim))
     # a row whose norm is at most 1e-8 (odds ~1e-33 at dim 4) is drawn
     # again: the rows after it move up and one more is drawn
-    while (rejected := np.flatnonzero(_norms(z) <= 1e-8)).size:
+    while (rejected := np.flatnonzero((norms := _norms(z)) <= 1e-8)).size:
         z[rejected[0] : -1] = z[rejected[0] + 1 :]
         z[-1] = rng.standard_normal(dim)
-    q = _unit_rows(z)
+    # the last pass's norms are those of the accepted rows: scale by them
+    q = z / norms[:, None]
     _check_unit_rows(q)
     return q

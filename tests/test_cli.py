@@ -717,7 +717,7 @@ def test_kl_fisher_errors_traced_peak_does_not_grow_with_epsilons():
 def _per_round_identities(rng, n):
     """metric-check's 200 rounds of distance identities through the public
     constructors and functions, one round at a time, each distance against
-    conftest's decimal reference."""
+    the battery's chord reference on one row."""
     worst_embed = worst_triangle = worst_scaling = 0.0
     for _ in range(200):
         a = ProbDist.renormalized(rng.uniform(0, 1, n))
@@ -731,7 +731,7 @@ def _per_round_identities(rng, n):
         direction = _centered_direction(rng.random(n))
         close = ProbDist(p_in.probs + 1e-9 * direction)
         for x, y in ((a, b), (p_in, close)):
-            exact = decimal_ray_angle(x.probs, y.probs, sqrt=True)
+            exact = cli._chord_distances(x.probs[None], y.probs[None])[0]
             worst_embed = max(worst_embed, abs(statistical_distance(x, y) - exact))
         d1 = TangentVec(direction * 1e-3)
         d2 = TangentVec(2.0 * d1.deltas)
@@ -754,20 +754,51 @@ def test_distance_identities_equal_per_round_public_calls(n, seed):
 @pytest.mark.parametrize("n", [2, 3, 16])
 def test_embed_identity_holds_at_close_pairs(n):
     # the close pairs (p, p + 1e-9 d) keep the 1e-12 bound against the
-    # decimal reference; acos of the root dot, the old reference, reads them
+    # decimal oracle; acos of the root dot, an old reference, reads them
     # as 0.0 or an ulp of 1 away, ~1e-9 from the distance
     assert _distance_identities(np.random.default_rng(n), n)[0] <= 1e-12
     u = np.random.default_rng(n).random((200, 5, n))
     p = _interior_dist(u[:, 3])
     close = p + 1e-9 * _centered_direction(u[:, 4])
-    exact = cli._decimal_distances(p, close)
+    exact = np.array([decimal_ray_angle(x, y, sqrt=True) for x, y in zip(p, close)])
     via_acos = np.arccos(np.minimum(1.0, simplex._row_dots(np.sqrt(p), np.sqrt(close))))
     assert np.abs(simplex._distance_rows(p, close) - exact).max() <= 1e-12
     assert np.abs(via_acos - exact).max() > 1e-10
     # the FOUND's pair: acos reads 0.0 at a distance of 1.09e-9
     pair = np.array([[0.3, 0.7]]), np.array([[0.3 + 1e-9, 0.7 - 1e-9]])
-    assert cli._decimal_distances(*pair)[0] == pytest.approx(1.0910894e-9, rel=1e-7)
-    assert cli._decimal_distances(*pair)[0] == decimal_ray_angle(*pair[0], *pair[1], sqrt=True)
+    exact = decimal_ray_angle(*pair[0], *pair[1], sqrt=True)
+    assert exact == pytest.approx(1.0910894e-9, rel=1e-7)
+    assert abs(cli._chord_distances(*pair)[0] - exact) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_chord_distances_match_decimal_oracle(n):
+    # the battery's float64 reference stays within 1e-14 of the 60-digit
+    # angle, far below the embedding row's 1e-12 bound
+    rng = np.random.default_rng(n)
+    far = rng.random((2, 50, n))
+    far /= far.sum(axis=-1, keepdims=True)
+    u = rng.random((2, 50, n))
+    p = _interior_dist(u[0])
+    close = p + 1e-9 * _centered_direction(u[1])
+    sparse = rng.random((2, 50, n)) * (rng.random((2, 50, n)) < 0.5)
+    sparse[..., 0] += sparse.sum(axis=-1) == 0.0
+    sparse /= sparse.sum(axis=-1, keepdims=True)
+    pairs = [(far[0], far[1]), (p, close), (sparse[0], sparse[1]), (sparse[0], far[0])]
+    for x, y in pairs:
+        exact = [decimal_ray_angle(a, b, sqrt=True) for a, b in zip(x, y)]
+        assert np.abs(cli._chord_distances(x, y) - exact).max() <= 1e-14
+    # disjoint supports are pi/2 apart, identical rows exactly 0
+    k = max(1, n // 2)
+    left, right = np.zeros((2, n)), np.zeros((2, n))
+    left[0, :k], right[0, k:] = 1.0 / k, 1.0 / (n - k)
+    left[1, 0], right[1, -1] = 1.0, 1.0
+    chords = cli._chord_distances(left, right)
+    exact = [decimal_ray_angle(a, b, sqrt=True) for a, b in zip(left, right)]
+    assert np.abs(chords - exact).max() <= 1e-14
+    assert chords.tolist() == pytest.approx([0.5 * math.pi] * 2, abs=1e-14)
+    assert cli._chord_distances(far[0], far[0]).tolist() == [0.0] * 50
+    assert cli._chord_distances(sparse[0], sparse[0]).tolist() == [0.0] * 50
 
 
 def test_centered_direction_maps_all_equal_row_to_edge():
